@@ -15,6 +15,13 @@ ways, which must agree:
 
 The aggregate condition additionally requires an odd number of concerned
 voters on every triple.
+
+The three ``check_*`` functions are the per-voter reference definitions.
+:func:`sen_condition` reaches the same verdicts by counting: restricted to
+a triple, a ballot has one of 13 shapes, so each check depends only on
+which shapes occur and the membership sum only on how many voters have
+each shape.  It reads each occurring shape's row once in each of the
+three representations and cross-asserts the results on every triple.
 """
 
 from __future__ import annotations
@@ -183,41 +190,124 @@ class SenVerdict:
     condition_holds: bool
 
 
+# A voter's shape on a triple (a, b, c) of ranks is
+# 9*sgn(a-b) + 3*sgn(b-c) + sgn(a-c) + 13: one code for each of the 13 weak
+# orders over three alternatives, 13 itself meaning total indifference.
+_UNCONCERNED = 13
+
+
+def _shape_codes(ranks: list[tuple[int, ...]], triple: Triple) -> list[int]:
+    """Every voter's shape code on ``triple``, in voter order."""
+    x, y, z = triple.members
+    return [
+        9 * ((r[x] > r[y]) - (r[x] < r[y]))
+        + 3 * ((r[y] > r[z]) - (r[y] < r[z]))
+        + (r[x] > r[z]) - (r[x] < r[z])
+        + 13
+        for r in ranks
+    ]
+
+
+@lru_cache(maxsize=16)
+def _shape_rows(order: WeakOrder) -> tuple[int, tuple[int, ...], int]:
+    """One restricted ballot read three ways, as cell ``3*row + column``.
+
+    Returns the preference map's admissible positions as bits, the cells
+    where the membership matrix is 1, and the value sets as bits (value
+    ``v`` in column ``v - 1``).  Keyed by the restricted order, so it
+    holds at most the 13 orders over a triple.
+    """
+    pm = preference_map(order)
+    positions = sum(1 << (3 * i + p - 1) for i, row in enumerate(pm.rows) for p in row)
+    cells = tuple(np.flatnonzero(membership_map(pm).entries).tolist())
+    values = sum(
+        1 << (3 * i + label.value - 1) for i in range(3) for label in value_set(order, i)
+    )
+    return positions, cells, values
+
+
+# the positions (1-based) of each 3-bit row of a reading
+_POSITION_SETS = tuple(
+    frozenset(j + 1 for j in range(3) if bits >> j & 1) for bits in range(8)
+)
+
+
+def _triple_report(
+    voters: tuple[WeakOrder, ...], triple: Triple, codes: list[int]
+) -> TripleReport:
+    """Decide one triple from the rows of the ballot shapes that occur.
+
+    Each shape that occurs is read once, off its first voter's restricted
+    ballot: its position rows and value sets are ORed in, and its
+    membership cells are added once per voter of that shape.  The three
+    results are 9-bit readings, bit ``3*i + j`` set iff row ``i`` admits
+    position (value) ``j + 1``; unequal readings raise
+    :class:`InternalDisagreement`.
+    """
+    if _UNCONCERNED in codes:
+        concerned = tuple(k for k, code in enumerate(codes) if code != _UNCONCERNED)
+    else:
+        concerned = tuple(range(len(codes)))
+    by_union = by_value = 0
+    sums = [0] * 9
+    for code in set(codes) - {_UNCONCERNED}:
+        positions, cells, values = _shape_rows(restrict(voters[codes.index(code)], triple))
+        by_union |= positions
+        by_value |= values
+        count = codes.count(code)
+        for cell in cells:
+            sums[cell] += count
+    by_membership = sum(1 << cell for cell in range(9) if sums[cell])
+    if not by_union == by_membership == by_value:
+        raise InternalDisagreement(
+            f"checkers disagree on triple {triple.members}: "
+            f"union={by_union:09b} membership={by_membership:09b} "
+            f"qualitative={by_value:09b} (bit 3*row + column)"
+        )
+    missing = ~by_union & 0o777
+    if not missing:
+        gap = ineq_witness = oracle_witness = None
+    else:
+        gap = divmod((missing & -missing).bit_length() - 1, 3)
+        ineq_witness = triple.members[gap[0]]
+        oracle_witness = (ineq_witness, ValueLabel(gap[1] + 1))
+    sum_matrix = np.array(sums).reshape(3, 3)
+    sum_matrix.setflags(write=False)
+    restricted = gap is not None
+    return TripleReport(
+        triple=triple,
+        concerned=concerned,
+        parity_ok=len(concerned) % 2 == 1,
+        vr_ineq=restricted,
+        ineq_witness=ineq_witness,
+        row_unions=(
+            _POSITION_SETS[by_union & 7],
+            _POSITION_SETS[by_union >> 3 & 7],
+            _POSITION_SETS[by_union >> 6],
+        ),
+        vr_eq=restricted,
+        eq_witness=gap,
+        sum_matrix=sum_matrix,
+        vr_oracle=restricted,
+        oracle_witness=oracle_witness,
+    )
+
+
 def sen_condition(profile: Profile) -> SenVerdict:
     """Check value restriction and concerned-count parity on every triple.
 
-    All three checkers run on each triple and must agree; a disagreement
-    raises :class:`InternalDisagreement` since it can only mean a bug.
-    The condition holds iff every triple is value-restricted and has an
-    odd number of concerned voters.
+    Each triple is decided in one pass over its voters' ballot shapes;
+    the union, membership and qualitative readings must agree, and a
+    disagreement raises :class:`InternalDisagreement` since it can only
+    mean a bug.  The condition holds iff every triple is value-restricted
+    and has an odd number of concerned voters.
     """
     if profile.num_alternatives < 3:
         raise ValueError("the condition is defined for at least 3 alternatives")
-    reports = []
-    for triple in triples(profile.num_alternatives):
-        vr_ineq, ineq_witness = check_union_inequality(profile, triple)
-        vr_eq, eq_witness, sums = check_membership_equation(profile, triple)
-        vr_oracle, oracle_witness = check_value_restriction_oracle(profile, triple)
-        if not vr_ineq == vr_eq == vr_oracle:
-            raise InternalDisagreement(
-                f"checkers disagree on triple {triple.members}: "
-                f"union={vr_ineq} membership={vr_eq} qualitative={vr_oracle}"
-            )
-        concerned = tuple(sorted(concerned_set(profile, triple)))
-        reports.append(
-            TripleReport(
-                triple=triple,
-                concerned=concerned,
-                parity_ok=len(concerned) % 2 == 1,
-                vr_ineq=vr_ineq,
-                ineq_witness=ineq_witness,
-                row_unions=row_position_unions(profile, triple),
-                vr_eq=vr_eq,
-                eq_witness=eq_witness,
-                sum_matrix=sums,
-                vr_oracle=vr_oracle,
-                oracle_witness=oracle_witness,
-            )
-        )
+    ranks = [voter.ranks for voter in profile.voters]
+    reports = tuple(
+        _triple_report(profile.voters, triple, _shape_codes(ranks, triple))
+        for triple in triples(profile.num_alternatives)
+    )
     condition_holds = all(r.value_restricted and r.parity_ok for r in reports)
-    return SenVerdict(tuple(reports), condition_holds)
+    return SenVerdict(reports, condition_holds)

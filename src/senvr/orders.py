@@ -276,4 +276,8 @@ class Profile:
     def triple_of_names(self, names: Sequence[str]) -> Triple:
         if len(names) != 3:
             raise ValueError(f"expected exactly 3 names, got {len(names)}")
-        return Triple.of(*(self.index_of(n) for n in names))
+        ids = [self.index_of(n) for n in names]
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise ValueError(f"alternative {name!r} appears more than once in the triple")
+        return Triple.of(*ids)

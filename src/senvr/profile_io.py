@@ -70,10 +70,11 @@ def _parse_ballot(rest: str, line: int, names: tuple[str, ...]) -> WeakOrder:
 
 
 def parse_profile(text: str) -> Profile:
-    """Parse profile text (UTF-8 string, LF or CRLF) into a Profile."""
+    """Parse profile text (UTF-8 string, LF or CRLF, an optional leading
+    byte-order mark) into a Profile."""
     names: tuple[str, ...] | None = None
     voters: list[WeakOrder] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

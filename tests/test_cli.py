@@ -362,6 +362,14 @@ def test_pm_rejects_bad_triples(capsys, spec):
     assert err
 
 
+@pytest.mark.parametrize("spec", ["w,x,w", "x,x,x"])
+def test_pm_names_the_repeated_alternative(capsys, spec):
+    code, out, err = run_cli(capsys, "pm", EXAMPLE2, "--triple", spec)
+    assert code == 2 and not out
+    repeated = spec.split(",")[-1]
+    assert err == f"error: alternative {repeated!r} appears more than once in the triple\n"
+
+
 def test_verify_exhaustive_human(capsys):
     code, out, err = run_cli(capsys, "verify", "--m", "3", "--n", "3", "--exhaustive")
     assert code == 0 and not err

@@ -5,6 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from senvr import (
+    InternalDisagreement,
+    MembershipMatrix,
+    PreferenceMap,
     Profile,
     Triple,
     ValueLabel,
@@ -312,3 +315,87 @@ def test_adding_unconcerned_voter_changes_nothing(profile):
         assert old.eq_witness == new.eq_witness
         assert np.array_equal(old.sum_matrix, new.sum_matrix)
         assert old.oracle_witness == new.oracle_witness
+
+
+# ---------------------------------------------------------------------------
+# the per-shape pass against the per-voter reference checkers
+
+
+def concerned_shapes():
+    return [order for order in all_weak_orders_3() if order.num_classes > 1]
+
+
+def test_every_shape_subset_matches_the_reference_checkers():
+    # restricted to a triple a ballot has one of 12 concerned shapes (or is
+    # unconcerned), and each checker depends only on which shapes occur, so
+    # these 4096 profiles cover every verdict of every profile size
+    shapes = concerned_shapes()
+    assert len(shapes) == 12
+    indifferent = wo({0, 1, 2})
+    names = ("x", "y", "z")
+    restricted = 0
+    for mask in range(1 << len(shapes)):
+        chosen = [s for i, s in enumerate(shapes) if mask >> i & 1]
+        # the unconcerned voter sits in the middle, so indices shift past it
+        half = len(chosen) // 2
+        profile = Profile(names, (*chosen[:half], indifferent, *chosen[half:]))
+        verdict = sen_condition(profile)
+        (report,) = verdict.per_triple
+        assert report.triple == T012
+        concerned = tuple(sorted(concerned_set(profile, T012)))
+        assert report.concerned == concerned
+        assert report.parity_ok == (len(concerned) % 2 == 1)
+        assert (report.vr_ineq, report.ineq_witness) == check_union_inequality(profile, T012)
+        assert report.row_unions == row_position_unions(profile, T012)
+        vr_eq, eq_witness, sums = check_membership_equation(profile, T012)
+        assert (report.vr_eq, report.eq_witness) == (vr_eq, eq_witness)
+        assert report.sum_matrix.dtype == sums.dtype
+        assert report.sum_matrix.tolist() == sums.tolist()
+        assert not report.sum_matrix.flags.writeable
+        assert (report.vr_oracle, report.oracle_witness) == check_value_restriction_oracle(
+            profile, T012
+        )
+        assert verdict.condition_holds == (report.value_restricted and report.parity_ok)
+        restricted += report.value_restricted
+    assert restricted == 649
+
+
+def test_sum_matrix_counts_voters_of_each_shape():
+    shapes = concerned_shapes()
+    voters = tuple(shapes[i % 12] for i in range(5 * 12 + 7))
+    profile = Profile(("x", "y", "z"), voters)
+    (report,) = sen_condition(profile).per_triple
+    _, _, sums = check_membership_equation(profile, T012)
+    assert report.sum_matrix.tolist() == sums.tolist()
+    assert report.concerned == tuple(range(len(voters)))
+
+
+@pytest.mark.parametrize("source", ["preference_map", "membership_map", "value_set"])
+def test_corrupt_shape_row_raises_disagreement(monkeypatch, source):
+    # one representation reads the strict order x > y > z wrongly: x may
+    # also take position (value) 3; the other two do not agree with it
+    import senvr.condition as condition
+
+    strict = wo({0}, {1}, {2})
+    real = getattr(condition, source)
+
+    def corrupt(arg, *rest):
+        result = real(arg, *rest)
+        if source == "preference_map" and arg == strict:
+            return PreferenceMap((result.rows[0] | {3}, *result.rows[1:]))
+        if source == "membership_map" and arg == preference_map(strict):
+            entries = result.entries.copy()
+            entries[0, 2] = 1
+            return MembershipMatrix(entries)
+        if source == "value_set" and (arg, *rest) == (strict, 0):
+            return result | {ValueLabel.WORST}
+        return result
+
+    monkeypatch.setattr(condition, source, corrupt)
+    condition._shape_rows.cache_clear()
+    try:
+        profile = Profile(("x", "y", "z"), (strict, wo({0, 1, 2})))
+        with pytest.raises(InternalDisagreement, match=r"checkers disagree on triple \(0, 1, 2\)"):
+            sen_condition(profile)
+    finally:
+        condition._shape_rows.cache_clear()

@@ -70,6 +70,17 @@ def test_parse_accepts_crlf(example1):
     assert parse_profile(EXAMPLE1_TEXT.replace("\n", "\r\n")) == example1
 
 
+def test_parse_accepts_utf8_bom(example1):
+    # editors on some platforms start UTF-8 files with a byte-order mark
+    text = EXAMPLE1_TEXT.encode("utf-8-sig").decode("utf-8")
+    assert text.startswith("\ufeff")
+    assert parse_profile(text) == example1
+    assert parse_profile(text.replace("\n", "\r\n")) == example1
+    with pytest.raises(ParseError, match="unrecognized") as excinfo:
+        parse_profile(EXAMPLE1_TEXT + "\ufeffvoter: x > y > z\n")
+    assert excinfo.value.line == 5
+
+
 def test_parse_keeps_declaration_order():
     profile = parse_profile("alternatives: z9 a_1 B\nvoter: B > z9 ~ a_1\n")
     assert profile.alternative_names == ("z9", "a_1", "B")
