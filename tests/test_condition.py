@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import senvr.condition
 from senvr import (
     InternalDisagreement,
     MembershipMatrix,
@@ -374,10 +375,8 @@ def test_sum_matrix_counts_voters_of_each_shape():
 def test_corrupt_shape_row_raises_disagreement(monkeypatch, source):
     # one representation reads the strict order x > y > z wrongly: x may
     # also take position (value) 3; the other two do not agree with it
-    import senvr.condition as condition
-
     strict = wo({0}, {1}, {2})
-    real = getattr(condition, source)
+    real = getattr(senvr.condition, source)
 
     def corrupt(arg, *rest):
         result = real(arg, *rest)
@@ -391,11 +390,11 @@ def test_corrupt_shape_row_raises_disagreement(monkeypatch, source):
             return result | {ValueLabel.WORST}
         return result
 
-    monkeypatch.setattr(condition, source, corrupt)
-    condition._shape_rows.cache_clear()
+    monkeypatch.setattr(senvr.condition, source, corrupt)
+    senvr.condition._shape_rows.cache_clear()
     try:
         profile = Profile(("x", "y", "z"), (strict, wo({0, 1, 2})))
         with pytest.raises(InternalDisagreement, match=r"checkers disagree on triple \(0, 1, 2\)"):
             sen_condition(profile)
     finally:
-        condition._shape_rows.cache_clear()
+        senvr.condition._shape_rows.cache_clear()
