@@ -24,7 +24,6 @@ from senvr.harness import HarnessConfig, HarnessMode, HarnessReport, run_harness
 from senvr.majority import (
     CycleReport,
     PairwiseTally,
-    is_transitive,
     majority_relation,
     pairwise_tallies,
     social_ordering,
@@ -85,16 +84,12 @@ def _triple_payload(profile: Profile, report: TripleReport) -> dict:
     }
 
 
-def _social_payload(
-    profile: Profile, transitive: bool, outcome: WeakOrder | CycleReport
-) -> dict:
-    if transitive:
-        assert isinstance(outcome, WeakOrder)
+def _social_payload(profile: Profile, outcome: WeakOrder | CycleReport) -> dict:
+    if isinstance(outcome, WeakOrder):
         ordering = [
             [profile.name_of(alt) for alt in sorted(cls)] for cls in outcome.classes
         ]
         return {"transitive": True, "ordering": ordering, "cycle": None}
-    assert isinstance(outcome, CycleReport)
     return {
         "transitive": False,
         "ordering": None,
@@ -141,8 +136,6 @@ def _render_check(
     profile: Profile,
     verdict: SenVerdict,
     tally: PairwiseTally,
-    transitive: bool,
-    witness: tuple[int, int, int] | None,
     outcome: WeakOrder | CycleReport,
 ) -> str:
     names = profile.alternative_names
@@ -164,13 +157,11 @@ def _render_check(
     lines.append("tallies (row a, column b: voters ranking a above b):")
     for alt, row in enumerate(tally.prefer.tolist()):
         lines.append(f"  {names[alt]}: {row}")
-    if transitive:
-        assert isinstance(outcome, WeakOrder)
+    if isinstance(outcome, WeakOrder):
         lines.append("majority relation is transitive")
         lines.append(f"social ordering: {_format_classes(names, outcome)}")
     else:
-        assert witness is not None
-        a, b, c = (names[alt] for alt in witness)
+        a, b, c = (names[alt] for alt in outcome.witness)
         lines.append("majority relation is not transitive")
         lines.append(f"cycle witness: {a} >= {b}, {b} >= {c}, but not {a} >= {c}")
     return "\n".join(lines)
@@ -180,20 +171,18 @@ def cmd_check(args: argparse.Namespace) -> int:
     profile = _read_profile(args.path)
     verdict = sen_condition(profile)
     tally = pairwise_tallies(profile)
-    relation = majority_relation(tally)
-    transitive, witness = is_transitive(relation)
-    outcome = social_ordering(relation)
+    outcome = social_ordering(majority_relation(tally))
     if args.json:
         payload = {
             "alternatives": list(profile.alternative_names),
             "triples": [_triple_payload(profile, r) for r in verdict.per_triple],
             "condition_holds": verdict.condition_holds,
             "tallies": tally.prefer.tolist(),
-            "social": _social_payload(profile, transitive, outcome),
+            "social": _social_payload(profile, outcome),
         }
         print(json.dumps(payload, indent=2))
     else:
-        print(_render_check(profile, verdict, tally, transitive, witness, outcome))
+        print(_render_check(profile, verdict, tally, outcome))
     if args.assert_sen and not verdict.condition_holds:
         return 3
     return 0

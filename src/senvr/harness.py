@@ -5,6 +5,8 @@ profiles) through the condition checkers and the majority rule, counts
 the joint outcomes, and collects any profile that satisfies the
 condition yet yields an intransitive social relation.  An empty
 violation list over a sweep is the empirical sufficiency evidence.
+Majority verdicts are decided per chunk of profiles, in one numpy pass
+over the chunk's rank array; the condition is decided per profile.
 """
 
 from __future__ import annotations
@@ -17,8 +19,10 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 
+import numpy as np
+
 from senvr.condition import sen_condition
-from senvr.majority import is_transitive, majority_relation, pairwise_tallies
+from senvr.majority import transitive_mask
 from senvr.orders import Profile, WeakOrder
 
 __all__ = [
@@ -40,6 +44,9 @@ ENUMERATION_BUDGET = 10**7
 MAX_ENUMERATED_ALTERNATIVES = 5
 MAX_SAMPLED_ALTERNATIVES = 8
 VIOLATION_CAP = 10
+# profiles whose majority verdicts are decided in one numpy pass; bounded
+# so a sweep's memory does not grow with its length
+CHUNK_PROFILES = 256
 
 
 class RangeError(ValueError):
@@ -248,6 +255,10 @@ def run_harness(config: HarnessConfig) -> HarnessReport:
 
     Every profile passes through the full condition decision (whose
     three checkers cross-assert on each triple) and the majority rule.
+    The stream is taken in chunks of ``CHUNK_PROFILES``: majority
+    transitivity is decided for a whole chunk at once from its
+    (profiles, voters, m) rank array, then the condition is decided and
+    the outcomes counted profile by profile, in stream order.
     Raises InternalDisagreement if the checkers ever split.
     """
     if config.mode is HarnessMode.EXHAUSTIVE:
@@ -259,20 +270,23 @@ def run_harness(config: HarnessConfig) -> HarnessReport:
         )
     tested = held = held_transitive = failed = failed_transitive = 0
     violations: list[Profile] = []
-    for profile in stream:
-        verdict = sen_condition(profile)
-        transitive, _ = is_transitive(majority_relation(pairwise_tallies(profile)))
-        tested += 1
-        if verdict.condition_holds:
-            held += 1
-            if transitive:
-                held_transitive += 1
-            elif len(violations) < VIOLATION_CAP:
-                violations.append(profile)
-        else:
-            failed += 1
-            if transitive:
-                failed_transitive += 1
+    while chunk := list(itertools.islice(stream, CHUNK_PROFILES)):
+        transitive = transitive_mask(
+            np.array([[voter.ranks for voter in profile.voters] for profile in chunk])
+        )
+        for profile, profile_transitive in zip(chunk, transitive.tolist()):
+            verdict = sen_condition(profile)
+            tested += 1
+            if verdict.condition_holds:
+                held += 1
+                if profile_transitive:
+                    held_transitive += 1
+                elif len(violations) < VIOLATION_CAP:
+                    violations.append(profile)
+            else:
+                failed += 1
+                if profile_transitive:
+                    failed_transitive += 1
     return HarnessReport(
         profiles_tested=tested,
         condition_held_count=held,

@@ -23,6 +23,7 @@ __all__ = [
     "majority_relation",
     "pairwise_tallies",
     "social_ordering",
+    "transitive_mask",
 ]
 
 
@@ -110,19 +111,33 @@ class CycleReport:
     witness: tuple[int, int, int]
 
 
+def _tallies(ranks: np.ndarray) -> np.ndarray:
+    """``prefer[..., a, b]`` from ranks shaped (..., voters, m)."""
+    return (ranks[..., :, None] < ranks[..., None, :]).sum(axis=-3)
+
+
+def _weak(prefer: np.ndarray) -> np.ndarray:
+    return prefer >= np.swapaxes(prefer, -1, -2)
+
+
+def _broken(weak: np.ndarray) -> np.ndarray:
+    """Cells (a, c) with a R b and b R c for some b, yet not a R c."""
+    return (weak @ weak) & ~weak
+
+
+def transitive_mask(ranks: np.ndarray) -> np.ndarray:
+    """Majority transitivity of every profile in a (profiles, voters, m) rank array."""
+    return ~_broken(_weak(_tallies(ranks))).any(axis=(-2, -1))
+
+
 def pairwise_tallies(profile: Profile) -> PairwiseTally:
     """Count, for every ordered pair, the voters ranking the first strictly higher."""
-    m = profile.num_alternatives
-    prefer = np.zeros((m, m), dtype=int)
-    for voter in profile.voters:
-        ranks = np.fromiter((voter.rank_of(a) for a in range(m)), dtype=int, count=m)
-        prefer += ranks[:, None] < ranks[None, :]
-    return PairwiseTally(prefer)
+    return PairwiseTally(_tallies(np.array([voter.ranks for voter in profile.voters])))
 
 
 def majority_relation(tally: PairwiseTally) -> SocialRelation:
     """Society weakly prefers a to b iff prefer[a, b] >= prefer[b, a]."""
-    return SocialRelation(tally.prefer >= tally.prefer.T)
+    return SocialRelation(_weak(tally.prefer))
 
 
 def is_transitive(rel: SocialRelation) -> tuple[bool, tuple[int, int, int] | None]:
@@ -134,8 +149,7 @@ def is_transitive(rel: SocialRelation) -> tuple[bool, tuple[int, int, int] | Non
     preference and of indifference, so this single check suffices.
     """
     weak = rel.weak
-    reachable = (weak.astype(int) @ weak.astype(int)) > 0
-    if not (reachable & ~weak).any():
+    if not _broken(weak).any():
         return True, None
     m = rel.num_alternatives
     for a in range(m):

@@ -311,6 +311,17 @@ def test_check_reports_parse_error_line(capsys, tmp_path):
     assert "line 2" in err
 
 
+def test_check_rejects_two_alternatives(capsys, tmp_path):
+    # the condition is about triples, so a two-alternative profile is an
+    # out-of-range request rather than a vacuously satisfied condition
+    two = tmp_path / "two.profile"
+    two.write_text("alternatives: x y\nvoter: x > y\n")
+    code, out, err = run_cli(capsys, "check", str(two))
+    assert code == 2
+    assert out == ""
+    assert err == "error: the condition is defined for at least 3 alternatives\n"
+
+
 def test_pm_example1_json(capsys):
     code, out, _ = run_cli(capsys, "pm", EXAMPLE1, "--json")
     assert code == 0

@@ -1,5 +1,6 @@
 import itertools
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -13,9 +14,13 @@ from senvr import (
     default_alternative_names,
     enumerate_profiles,
     enumerate_weak_orders,
+    is_transitive,
+    majority_relation,
+    pairwise_tallies,
     random_profile,
     run_harness,
 )
+from senvr.harness import CHUNK_PROFILES, VIOLATION_CAP
 
 
 def oracle_rank_vectors(m):
@@ -157,6 +162,25 @@ def test_harness_exhaustive_m3_n3():
         report.condition_held_count + report.condition_failed_count
         == report.profiles_tested
     )
+
+
+@pytest.mark.parametrize("chunk", [CHUNK_PROFILES, 7])
+def test_violations_keep_stream_order_across_chunks(monkeypatch, chunk):
+    # a condition that always holds turns every intransitive profile into
+    # a violation; the first ten lie at stream positions 23..75, so a
+    # chunk of 7 spreads them over several chunks
+    monkeypatch.setattr("senvr.harness.CHUNK_PROFILES", chunk)
+    held = SimpleNamespace(condition_holds=True)
+    monkeypatch.setattr("senvr.harness.sen_condition", lambda profile: held)
+    report = run_harness(HarnessConfig(m=3, n=3, mode=HarnessMode.EXHAUSTIVE))
+    intransitive = [
+        profile
+        for profile in enumerate_profiles(3, 3)
+        if not is_transitive(majority_relation(pairwise_tallies(profile)))[0]
+    ]
+    assert report.violations == tuple(intransitive[:VIOLATION_CAP])
+    assert report.condition_held_count == 2197
+    assert report.condition_held_and_transitive_count == 1897
 
 
 def test_harness_random_is_reproducible():

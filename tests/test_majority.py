@@ -1,4 +1,7 @@
+import itertools
+
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
 from senvr import (
@@ -8,8 +11,12 @@ from senvr import (
     is_transitive,
     majority_relation,
     pairwise_tallies,
+    enumerate_profiles,
+    random_profile,
     social_ordering,
 )
+from senvr.harness import CHUNK_PROFILES
+from senvr.majority import transitive_mask
 
 
 def wo(*classes):
@@ -168,3 +175,51 @@ def test_transitive_relation_round_trips_through_ordering(profile):
     for a in range(m):
         for b in range(m):
             assert rel.weak[a, b] == order.at_least_as_good(a, b)
+
+
+def batched_verdicts(profiles):
+    """transitive_mask over CHUNK_PROFILES profiles at a time, as a sweep runs it."""
+    verdicts = []
+    for start in range(0, len(profiles), CHUNK_PROFILES):
+        chunk = profiles[start : start + CHUNK_PROFILES]
+        ranks = np.array([[voter.ranks for voter in p.voters] for p in chunk])
+        verdicts.extend(transitive_mask(ranks).tolist())
+    return verdicts
+
+
+def reference_transitive(profile):
+    """Majority transitivity by counting voters and scanning every triple."""
+    m = profile.num_alternatives
+    wins = [
+        [sum(v.prefers(a, b) for v in profile.voters) for b in range(m)]
+        for a in range(m)
+    ]
+    weak = [[wins[a][b] >= wins[b][a] for b in range(m)] for a in range(m)]
+    return all(
+        weak[a][c] or not (weak[a][b] and weak[b][c])
+        for a, b, c in itertools.product(range(m), repeat=3)
+    )
+
+
+# intransitive counts are held - held_transitive + failed - failed_transitive
+# of the m=3 sweeps: 745 - 445 at n=3, 22849 - 18157 at n=4
+@pytest.mark.parametrize("n, intransitive", [(3, 300), (4, 4692)])
+def test_transitive_mask_matches_per_profile_on_every_m3_profile(n, intransitive):
+    profiles = list(enumerate_profiles(3, n))
+    assert len(profiles) > CHUNK_PROFILES
+    verdicts = batched_verdicts(profiles)
+    assert verdicts == [
+        is_transitive(majority_relation(pairwise_tallies(p)))[0] for p in profiles
+    ]
+    assert verdicts.count(False) == intransitive
+
+
+@pytest.mark.parametrize("m", [4, 5, 6])
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+def test_transitive_mask_matches_reference_on_random_profiles(m, n):
+    profiles = [random_profile(m, n, seed=1000 * m + n, trial=t) for t in range(300)]
+    verdicts = batched_verdicts(profiles)
+    assert verdicts == [reference_transitive(p) for p in profiles]
+    assert verdicts == [
+        is_transitive(majority_relation(pairwise_tallies(p)))[0] for p in profiles
+    ]
