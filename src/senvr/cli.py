@@ -111,7 +111,7 @@ def _render_triple(profile: Profile, report: TripleReport) -> list[str]:
         ),
     ]
     if report.ineq_witness is not None:
-        union = report.row_unions[report.triple.local_index(report.ineq_witness)]
+        union = report.row_unions[report.eq_witness[0]]
         lines.append(
             f"  union witness: row {profile.name_of(report.ineq_witness)} "
             f"has {len(union)} < 3 admissible positions"

@@ -22,6 +22,8 @@ a triple, a ballot has one of 13 shapes, so each check depends only on
 which shapes occur and the membership sum only on how many voters have
 each shape.  It reads each occurring shape's row once in each of the
 three representations and cross-asserts the results on every triple.
+A :class:`TripleReport` stores only the triple, the concerned voters and
+the nine sums; every verdict, witness and union is a reading of the sums.
 """
 
 from __future__ import annotations
@@ -159,35 +161,72 @@ def check_value_restriction_oracle(
 
 @dataclass(frozen=True, eq=False)
 class TripleReport:
-    """Everything the three checkers decided about one triple."""
+    """One triple's concerned voters and membership sums, the equation form.
+
+    ``sums`` holds the nine sums in row-major order: cell ``3*i + j``
+    counts the concerned voters for whom member ``i`` may take position
+    ``j + 1``.  Every verdict, witness and union is a reading of it.
+    """
 
     triple: Triple
     concerned: tuple[int, ...]
-    parity_ok: bool
-    vr_ineq: bool
-    ineq_witness: AlternativeId | None
-    row_unions: tuple[frozenset[int], frozenset[int], frozenset[int]]
-    vr_eq: bool
-    eq_witness: tuple[int, int] | None
-    sum_matrix: np.ndarray
-    vr_oracle: bool
-    oracle_witness: tuple[AlternativeId, ValueLabel] | None
+    sums: tuple[int, ...]
 
     @property
     def concerned_count(self) -> int:
         return len(self.concerned)
 
     @property
+    def parity_ok(self) -> bool:
+        return len(self.concerned) % 2 == 1
+
+    @property
     def value_restricted(self) -> bool:
-        return self.vr_ineq
+        return 0 in self.sums
+
+    # the union, membership and qualitative verdicts, equal by construction
+    vr_ineq = vr_eq = vr_oracle = value_restricted
+
+    @property
+    def eq_witness(self) -> tuple[int, int] | None:
+        """The first zero cell as 0-based ``(row, column)``, in row-major order;
+        the other two witnesses name its member and its value."""
+        return divmod(self.sums.index(0), 3) if self.value_restricted else None
+
+    @property
+    def ineq_witness(self) -> AlternativeId | None:
+        cell = self.eq_witness
+        return None if cell is None else self.triple.members[cell[0]]
+
+    @property
+    def oracle_witness(self) -> tuple[AlternativeId, ValueLabel] | None:
+        cell = self.eq_witness
+        return None if cell is None else (self.ineq_witness, ValueLabel(cell[1] + 1))
+
+    @property
+    def row_unions(self) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
+        """Each member's admissible positions over the concerned voters."""
+        return tuple(
+            frozenset(j + 1 for j in range(3) if self.sums[3 * i + j]) for i in range(3)
+        )
+
+    @property
+    def sum_matrix(self) -> np.ndarray:
+        """The sums as a new read-only 3x3 array."""
+        matrix = np.array(self.sums, dtype=int).reshape(3, 3)
+        matrix.setflags(write=False)
+        return matrix
 
 
 @dataclass(frozen=True, eq=False)
 class SenVerdict:
-    """Per-triple reports plus the aggregate verdict."""
+    """Per-triple reports; the condition holds iff every triple passes."""
 
     per_triple: tuple[TripleReport, ...]
-    condition_holds: bool
+
+    @property
+    def condition_holds(self) -> bool:
+        return all(r.value_restricted and r.parity_ok for r in self.per_triple)
 
 
 # A voter's shape on a triple (a, b, c) of ranks is
@@ -226,12 +265,6 @@ def _shape_rows(order: WeakOrder) -> tuple[int, tuple[int, ...], int]:
     return positions, cells, values
 
 
-# the positions (1-based) of each 3-bit row of a reading
-_POSITION_SETS = tuple(
-    frozenset(j + 1 for j in range(3) if bits >> j & 1) for bits in range(8)
-)
-
-
 def _triple_report(
     voters: tuple[WeakOrder, ...], triple: Triple, codes: list[int]
 ) -> TripleReport:
@@ -264,33 +297,7 @@ def _triple_report(
             f"union={by_union:09b} membership={by_membership:09b} "
             f"qualitative={by_value:09b} (bit 3*row + column)"
         )
-    missing = ~by_union & 0o777
-    if not missing:
-        gap = ineq_witness = oracle_witness = None
-    else:
-        gap = divmod((missing & -missing).bit_length() - 1, 3)
-        ineq_witness = triple.members[gap[0]]
-        oracle_witness = (ineq_witness, ValueLabel(gap[1] + 1))
-    sum_matrix = np.array(sums).reshape(3, 3)
-    sum_matrix.setflags(write=False)
-    restricted = gap is not None
-    return TripleReport(
-        triple=triple,
-        concerned=concerned,
-        parity_ok=len(concerned) % 2 == 1,
-        vr_ineq=restricted,
-        ineq_witness=ineq_witness,
-        row_unions=(
-            _POSITION_SETS[by_union & 7],
-            _POSITION_SETS[by_union >> 3 & 7],
-            _POSITION_SETS[by_union >> 6],
-        ),
-        vr_eq=restricted,
-        eq_witness=gap,
-        sum_matrix=sum_matrix,
-        vr_oracle=restricted,
-        oracle_witness=oracle_witness,
-    )
+    return TripleReport(triple, concerned, tuple(sums))
 
 
 def sen_condition(profile: Profile) -> SenVerdict:
@@ -309,5 +316,4 @@ def sen_condition(profile: Profile) -> SenVerdict:
         _triple_report(profile.voters, triple, _shape_codes(ranks, triple))
         for triple in triples(profile.num_alternatives)
     )
-    condition_holds = all(r.value_restricted and r.parity_ok for r in reports)
-    return SenVerdict(reports, condition_holds)
+    return SenVerdict(reports)

@@ -149,17 +149,10 @@ def is_transitive(rel: SocialRelation) -> tuple[bool, tuple[int, int, int] | Non
     preference and of indifference, so this single check suffices.
     """
     weak = rel.weak
-    if not _broken(weak).any():
+    broken = np.argwhere(weak[:, :, None] & weak[None] & ~weak[:, None, :])
+    if not len(broken):
         return True, None
-    m = rel.num_alternatives
-    for a in range(m):
-        for b in range(m):
-            if not weak[a, b]:
-                continue
-            for c in range(m):
-                if weak[b, c] and not weak[a, c]:
-                    return False, (a, b, c)
-    raise AssertionError("violation mask nonempty but no triple found")
+    return False, tuple(broken[0].tolist())
 
 
 def social_ordering(rel: SocialRelation) -> WeakOrder | CycleReport:

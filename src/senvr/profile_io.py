@@ -50,18 +50,19 @@ def _parse_ballot(rest: str, line: int, names: tuple[str, ...]) -> WeakOrder:
     classes = []
     seen: set[str] = set()
     for group in rest.split(">"):
-        tokens = [t for t in re.split(r"[~=]", group) if t.strip()]
+        tokens = [t.strip() for t in re.split(r"[~=]", group)]
+        if "" in tokens:
+            empty = "group" if tokens == [""] else "name beside a tie mark"
+            raise ParseError(line, f"empty {empty} in ballot")
         members = set()
         for token in tokens:
-            name = _checked_name(token.strip(), line)
+            name = _checked_name(token, line)
             if name not in index:
                 raise ParseError(line, f"unknown alternative {name!r}")
             if name in seen:
                 raise ParseError(line, f"{name!r} appears more than once in this ballot")
             seen.add(name)
             members.add(index[name])
-        if not members:
-            raise ParseError(line, "empty group in ballot")
         classes.append(frozenset(members))
     if seen != set(names):
         missing = sorted(set(names) - seen, key=index.__getitem__)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -10,7 +11,9 @@ from senvr import (
     MembershipMatrix,
     PreferenceMap,
     Profile,
+    SenVerdict,
     Triple,
+    TripleReport,
     ValueLabel,
     WeakOrder,
     check_membership_equation,
@@ -398,3 +401,13 @@ def test_corrupt_shape_row_raises_disagreement(monkeypatch, source):
             sen_condition(profile)
     finally:
         senvr.condition._shape_rows.cache_clear()
+
+
+def test_reports_store_only_the_triple_the_concerned_voters_and_the_sums():
+    # every verdict, witness and union is a property read off the sums
+    assert [f.name for f in dataclasses.fields(TripleReport)] == [
+        "triple",
+        "concerned",
+        "sums",
+    ]
+    assert [f.name for f in dataclasses.fields(SenVerdict)] == ["per_triple"]

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from senvr import (
     CycleReport,
     Profile,
+    SocialRelation,
     WeakOrder,
     is_transitive,
     majority_relation,
@@ -82,6 +83,34 @@ def test_relation_condorcet_cycles(condorcet):
     rel = majority_relation(pairwise_tallies(condorcet))
     ok, witness = is_transitive(rel)
     assert not ok and witness == (0, 1, 2)
+
+
+def complete_reflexive_relations(m):
+    # each unordered pair is a > b, b > a or a tie: 3 ** (m choose 2) relations
+    pairs = list(itertools.combinations(range(m), 2))
+    for choice in itertools.product(range(3), repeat=len(pairs)):
+        weak = np.eye(m, dtype=bool)
+        for (a, b), c in zip(pairs, choice):
+            weak[a, b] = c != 1
+            weak[b, a] = c != 0
+        yield SocialRelation(weak)
+
+
+def first_violation(weak):
+    m = len(weak)
+    for a, b, c in itertools.product(range(m), repeat=3):
+        if weak[a, b] and weak[b, c] and not weak[a, c]:
+            return a, b, c
+    return None
+
+
+@pytest.mark.parametrize("m, count", [(3, 27), (4, 729)])
+def test_is_transitive_witness_is_lexicographically_first(m, count):
+    relations = list(complete_reflexive_relations(m))
+    assert len(relations) == count
+    for rel in relations:
+        witness = first_violation(rel.weak)
+        assert is_transitive(rel) == (witness is None, witness)
 
 
 def test_relation_example2_transitive(example2):

@@ -96,6 +96,9 @@ def test_parse_keeps_declaration_order():
         ("alternatives: x y\nvoter: x > > y\n", 2, "empty group"),
         ("alternatives: x y\nvoter: x > y >\n", 2, "empty group"),
         ("alternatives: x y\nvoter:\n", 2, "empty group"),
+        ("alternatives: x y z\nvoter: x ~ ~ y > z\n", 2, "empty name beside a tie mark"),
+        ("alternatives: x y z\nvoter: x ~ y ~ > z\n", 2, "empty name beside a tie mark"),
+        ("alternatives: x y z\nvoter: = x > y > z\n", 2, "empty name beside a tie mark"),
         ("alternatives: x y\n", None, "no voter"),
         ("alternatives: x y\nvoter: x > y\nalternatives: x y\n", 3, "already declared"),
         ("alternatives: x\nvoter: x\n", 1, "at least two"),
