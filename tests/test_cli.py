@@ -448,8 +448,20 @@ def test_verify_reports_violations_with_exit_4(capsys, monkeypatch):
         capsys, "verify", "--m", "4", "--n", "5", "--random", "--trials", "5"
     )
     assert code == 4
-    assert "violation" in out
-    assert "w ~ x > y > z" in out
+    assert out == (
+        "mode: random (m=4, n=5, trials=5, seed=0)\n"
+        "profiles tested: 5\n"
+        "condition held: 3 (transitive: 2)\n"
+        "condition failed: 2 (transitive anyway: 1)\n"
+        "violations: 1\n"
+        "violation 1 (condition holds, majority relation intransitive):\n"
+        "    alternatives: w x y z\n"
+        "    voter: w ~ x > y > z\n"
+        "    voter: w ~ x > z > y\n"
+        "    voter: x ~ z > y > w\n"
+        "    voter: z > x ~ y > w\n"
+        "    voter: z > y > x > w\n"
+    )
 
 
 def test_no_arguments_shows_usage(capsys):
