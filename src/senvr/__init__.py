@@ -50,10 +50,8 @@ from senvr.orders import (
     Triple,
     UnknownAlternative,
     WeakOrder,
-    indifference_set,
     is_unconcerned,
     membership_map,
-    predominance_set,
     preference_map,
     restrict,
     triples,
@@ -91,14 +89,12 @@ __all__ = [
     "default_alternative_names",
     "enumerate_profiles",
     "enumerate_weak_orders",
-    "indifference_set",
     "is_transitive",
     "is_unconcerned",
     "majority_relation",
     "membership_map",
     "pairwise_tallies",
     "parse_profile",
-    "predominance_set",
     "preference_map",
     "random_profile",
     "restrict",

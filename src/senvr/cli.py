@@ -7,23 +7,26 @@ cross-check the condition against majority transitivity.
 
 Exit codes: 0 success; 2 unreadable input, parse error, or out-of-range
 request; 3 condition asserted but not satisfied; 4 harness violation or
-checker disagreement.
+checker disagreement; 141 stdout closed by its reader.
+
+Each command builds one report, the payload that ``--json`` prints; the
+text report is a rendering of that payload.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections.abc import Sequence
 from pathlib import Path
 
 from senvr import __version__
-from senvr.condition import InternalDisagreement, SenVerdict, TripleReport, sen_condition
-from senvr.harness import HarnessConfig, HarnessMode, HarnessReport, run_harness
+from senvr.condition import InternalDisagreement, TripleReport, sen_condition
+from senvr.harness import HarnessConfig, HarnessMode, run_harness
 from senvr.majority import (
     CycleReport,
-    PairwiseTally,
     majority_relation,
     pairwise_tallies,
     social_ordering,
@@ -41,14 +44,12 @@ from senvr.profile_io import parse_profile, serialize_profile
 __all__ = ["main"]
 
 
-def _format_set(positions: frozenset[int]) -> str:
-    return "{" + ", ".join(str(p) for p in sorted(positions)) + "}"
+def _format_set(positions: Sequence[int]) -> str:
+    return "{" + ", ".join(str(p) for p in positions) + "}"
 
 
-def _format_classes(names: Sequence[str], order: WeakOrder) -> str:
-    return " > ".join(
-        " ~ ".join(names[alt] for alt in sorted(cls)) for cls in order.classes
-    )
+def _format_classes(classes: Sequence[Sequence[str]]) -> str:
+    return " > ".join(" ~ ".join(cls) for cls in classes)
 
 
 def _read_profile(path: str) -> Profile:
@@ -97,57 +98,49 @@ def _social_payload(profile: Profile, outcome: WeakOrder | CycleReport) -> dict:
     }
 
 
-def _render_triple(profile: Profile, report: TripleReport) -> list[str]:
-    members = profile.names_of(report.triple)
-    verdict = "value-restricted" if report.value_restricted else "not value-restricted"
-    parity = "odd" if report.concerned_count % 2 else "even"
+def _render_triple(triple: dict) -> list[str]:
+    unions = triple["union_sets"]
+    restricted = triple["value_restricted"]
+    verdict = "value-restricted" if restricted else "not value-restricted"
+    count = len(triple["concerned"])
     lines = [
-        f"triple ({', '.join(members)}): {verdict}; "
-        f"{report.concerned_count} concerned voters ({parity})",
+        f"triple ({', '.join(triple['members'])}): {verdict}; "
+        f"{count} concerned voters ({'odd' if count % 2 else 'even'})",
         "  position unions: "
-        + "; ".join(
-            f"{name} {_format_set(union)}"
-            for name, union in zip(members, report.row_unions)
-        ),
+        + "; ".join(f"{name} {_format_set(union)}" for name, union in unions.items()),
     ]
-    if report.ineq_witness is not None:
-        union = report.row_unions[report.eq_witness[0]]
+    if triple["ineq_witness"] is not None:
+        row = triple["ineq_witness"]
         lines.append(
-            f"  union witness: row {profile.name_of(report.ineq_witness)} "
-            f"has {len(union)} < 3 admissible positions"
+            f"  union witness: row {row} "
+            f"has {len(unions[row])} < 3 admissible positions"
         )
-    if report.eq_witness is None:
+    if triple["eq_witness"] is None:
         cell = "no zero cell"
     else:
-        cell = f"zero at cell ({report.eq_witness[0] + 1}, {report.eq_witness[1] + 1})"
-    lines.append(f"  sum matrix: {report.sum_matrix.tolist()}; {cell}")
-    if report.oracle_witness is not None:
-        alt, label = report.oracle_witness
+        cell = "zero at cell ({}, {})".format(*triple["eq_witness"])
+    lines.append(f"  sum matrix: {triple['sum_matrix']}; {cell}")
+    if triple["oracle_witness"] is not None:
         lines.append(
-            f"  never assigned: {profile.name_of(alt)} never takes "
-            f"value {label.name.lower()}"
+            "  never assigned: {alternative} never takes value {value}".format(
+                **triple["oracle_witness"]
+            )
         )
-    elif not report.value_restricted:
+    elif not restricted:
         lines.append("  every (alternative, value) pair occurs among concerned voters")
     return lines
 
 
-def _render_check(
-    profile: Profile,
-    verdict: SenVerdict,
-    tally: PairwiseTally,
-    outcome: WeakOrder | CycleReport,
-) -> str:
-    names = profile.alternative_names
+def _render_check(payload: dict, num_voters: int) -> str:
+    names = payload["alternatives"]
     lines = [
-        f"profile: {profile.num_alternatives} alternatives "
-        f"({', '.join(names)}), {profile.num_voters} voters",
+        f"profile: {len(names)} alternatives ({', '.join(names)}), {num_voters} voters",
         "",
     ]
-    for report in verdict.per_triple:
-        lines.extend(_render_triple(profile, report))
+    for triple in payload["triples"]:
+        lines.extend(_render_triple(triple))
     lines.append("")
-    if verdict.condition_holds:
+    if payload["condition_holds"]:
         lines.append(
             "condition holds (every triple value-restricted, "
             "every concerned count odd)"
@@ -155,13 +148,13 @@ def _render_check(
     else:
         lines.append("condition does not hold")
     lines.append("tallies (row a, column b: voters ranking a above b):")
-    for alt, row in enumerate(tally.prefer.tolist()):
-        lines.append(f"  {names[alt]}: {row}")
-    if isinstance(outcome, WeakOrder):
+    lines.extend(f"  {name}: {row}" for name, row in zip(names, payload["tallies"]))
+    social = payload["social"]
+    if social["transitive"]:
         lines.append("majority relation is transitive")
-        lines.append(f"social ordering: {_format_classes(names, outcome)}")
+        lines.append(f"social ordering: {_format_classes(social['ordering'])}")
     else:
-        a, b, c = (names[alt] for alt in outcome.witness)
+        a, b, c = social["cycle"]
         lines.append("majority relation is not transitive")
         lines.append(f"cycle witness: {a} >= {b}, {b} >= {c}, but not {a} >= {c}")
     return "\n".join(lines)
@@ -171,24 +164,42 @@ def cmd_check(args: argparse.Namespace) -> int:
     profile = _read_profile(args.path)
     verdict = sen_condition(profile)
     tally = pairwise_tallies(profile)
-    outcome = social_ordering(majority_relation(tally))
+    payload = {
+        "alternatives": list(profile.alternative_names),
+        "triples": [_triple_payload(profile, r) for r in verdict.per_triple],
+        "condition_holds": verdict.condition_holds,
+        "tallies": tally.prefer.tolist(),
+        "social": _social_payload(profile, social_ordering(majority_relation(tally))),
+    }
     if args.json:
-        payload = {
-            "alternatives": list(profile.alternative_names),
-            "triples": [_triple_payload(profile, r) for r in verdict.per_triple],
-            "condition_holds": verdict.condition_holds,
-            "tallies": tally.prefer.tolist(),
-            "social": _social_payload(profile, outcome),
-        }
         print(json.dumps(payload, indent=2))
     else:
-        print(_render_check(profile, verdict, tally, outcome))
+        print(_render_check(payload, profile.num_voters))
     if args.assert_sen and not verdict.condition_holds:
         return 3
     return 0
 
 
 # --- pm --------------------------------------------------------------------
+
+
+def _render_pm(payload: dict) -> str:
+    lines = [f"alternatives: {' '.join(payload['alternatives'])}"]
+    if payload["triple"] is not None:
+        lines.append(f"triple: ({', '.join(payload['triple'])})")
+    for voter in payload["voters"]:
+        lines.append("")
+        lines.append(f"voter {voter['voter']}: {_format_classes(voter['ordering'])}")
+        lines.append("  preference map:")
+        lines.extend(
+            f"    {name}: {_format_set(row)}"
+            for name, row in voter["preference_map"].items()
+        )
+        lines.append("  membership matrix:")
+        lines.extend(
+            "    " + " ".join(str(v) for v in row) for row in voter["membership_matrix"]
+        )
+    return "\n".join(lines)
 
 
 def cmd_pm(args: argparse.Namespace) -> int:
@@ -202,48 +213,27 @@ def cmd_pm(args: argparse.Namespace) -> int:
         local_names = [profile.name_of(alt) for alt in triple]
 
     voters = []
-    for i, voter in enumerate(profile.voters):
+    for index, voter in enumerate(profile.voters, start=1):
         order = voter if triple is None else restrict(voter, triple)
         pm = preference_map(order)
-        mpm = membership_map(pm)
-        voters.append((i + 1, order, pm, mpm))
-
-    if args.json:
-        payload = {
-            "alternatives": list(profile.alternative_names),
-            "triple": None if triple is None else local_names,
-            "voters": [
-                {
-                    "voter": index,
-                    "ordering": [
-                        [local_names[alt] for alt in sorted(cls)]
-                        for cls in order.classes
-                    ],
-                    "preference_map": {
-                        local_names[alt]: sorted(row)
-                        for alt, row in enumerate(pm.rows)
-                    },
-                    "membership_matrix": mpm.entries.tolist(),
-                }
-                for index, order, pm, mpm in voters
-            ],
-        }
-        print(json.dumps(payload, indent=2))
-        return 0
-
-    lines = [f"alternatives: {' '.join(profile.alternative_names)}"]
-    if triple is not None:
-        lines.append(f"triple: ({', '.join(local_names)})")
-    for index, order, pm, mpm in voters:
-        lines.append("")
-        lines.append(f"voter {index}: {_format_classes(local_names, order)}")
-        lines.append("  preference map:")
-        for alt, row in enumerate(pm.rows):
-            lines.append(f"    {local_names[alt]}: {_format_set(row)}")
-        lines.append("  membership matrix:")
-        for row in mpm.entries.tolist():
-            lines.append("    " + " ".join(str(v) for v in row))
-    print("\n".join(lines))
+        voters.append(
+            {
+                "voter": index,
+                "ordering": [
+                    [local_names[alt] for alt in sorted(cls)] for cls in order.classes
+                ],
+                "preference_map": {
+                    local_names[alt]: sorted(row) for alt, row in enumerate(pm.rows)
+                },
+                "membership_matrix": membership_map(pm).entries.tolist(),
+            }
+        )
+    payload = {
+        "alternatives": list(profile.alternative_names),
+        "triple": None if triple is None else local_names,
+        "voters": voters,
+    }
+    print(json.dumps(payload, indent=2) if args.json else _render_pm(payload))
     return 0
 
 
@@ -260,50 +250,43 @@ def cmd_verify(args: argparse.Namespace) -> int:
         seed=args.seed if mode is HarnessMode.RANDOM else 0,
     )
     report = run_harness(config)
-    if args.json:
-        payload = {
-            "mode": mode.value,
-            "m": config.m,
-            "n": config.n,
-            "trials": config.trials if mode is HarnessMode.RANDOM else None,
-            "seed": config.seed if mode is HarnessMode.RANDOM else None,
-            "profiles_tested": report.profiles_tested,
-            "condition_held_count": report.condition_held_count,
-            "condition_held_and_transitive_count": (
-                report.condition_held_and_transitive_count
-            ),
-            "condition_failed_count": report.condition_failed_count,
-            "condition_failed_but_transitive_count": (
-                report.condition_failed_but_transitive_count
-            ),
-            "violations": [serialize_profile(p) for p in report.violations],
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        print(_render_verify(config, report))
+    payload = {
+        "mode": mode.value,
+        "m": config.m,
+        "n": config.n,
+        "trials": config.trials if mode is HarnessMode.RANDOM else None,
+        "seed": config.seed if mode is HarnessMode.RANDOM else None,
+        "profiles_tested": report.profiles_tested,
+        "condition_held_count": report.condition_held_count,
+        "condition_held_and_transitive_count": (
+            report.condition_held_and_transitive_count
+        ),
+        "condition_failed_count": report.condition_failed_count,
+        "condition_failed_but_transitive_count": (
+            report.condition_failed_but_transitive_count
+        ),
+        "violations": [serialize_profile(p) for p in report.violations],
+    }
+    print(json.dumps(payload, indent=2) if args.json else _render_verify(payload))
     return 0 if not report.violations else 4
 
 
-def _render_verify(config: HarnessConfig, report: HarnessReport) -> str:
-    if config.mode is HarnessMode.EXHAUSTIVE:
-        header = f"mode: exhaustive (m={config.m}, n={config.n})"
-    else:
-        header = (
-            f"mode: random (m={config.m}, n={config.n}, "
-            f"trials={config.trials}, seed={config.seed})"
-        )
+def _render_verify(payload: dict) -> str:
+    header = "mode: exhaustive (m={m}, n={n})"
+    if payload["mode"] == HarnessMode.RANDOM.value:
+        header = "mode: random (m={m}, n={n}, trials={trials}, seed={seed})"
     lines = [
-        header,
-        f"profiles tested: {report.profiles_tested}",
-        f"condition held: {report.condition_held_count} "
-        f"(transitive: {report.condition_held_and_transitive_count})",
-        f"condition failed: {report.condition_failed_count} "
-        f"(transitive anyway: {report.condition_failed_but_transitive_count})",
-        f"violations: {len(report.violations)}",
+        header.format(**payload),
+        f"profiles tested: {payload['profiles_tested']}",
+        f"condition held: {payload['condition_held_count']} "
+        f"(transitive: {payload['condition_held_and_transitive_count']})",
+        f"condition failed: {payload['condition_failed_count']} "
+        f"(transitive anyway: {payload['condition_failed_but_transitive_count']})",
+        f"violations: {len(payload['violations'])}",
     ]
-    for i, profile in enumerate(report.violations, start=1):
+    for i, text in enumerate(payload["violations"], start=1):
         lines.append(f"violation {i} (condition holds, majority relation intransitive):")
-        lines.extend("    " + line for line in serialize_profile(profile).splitlines())
+        lines.extend("    " + line for line in text.splitlines())
     return "\n".join(lines)
 
 
@@ -378,7 +361,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader closed stdout early.  Point stdout at the null device
+        # so that the flush at exit stays silent, and exit as a shell does
+        # after SIGPIPE (128 + 13).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

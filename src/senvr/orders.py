@@ -109,19 +109,6 @@ class WeakOrder:
         return self.ranks[a] <= self.ranks[b]
 
 
-def predominance_set(order: WeakOrder, alt: AlternativeId) -> frozenset[int]:
-    """Alternatives strictly preferred to ``alt`` in ``order``."""
-    r = order.rank_of(alt)
-    if r == 0:
-        return frozenset()
-    return frozenset().union(*order.classes[:r])
-
-
-def indifference_set(order: WeakOrder, alt: AlternativeId) -> frozenset[int]:
-    """The entire indifference class of ``alt``, itself included."""
-    return order.classes[order.rank_of(alt)]
-
-
 @dataclass(frozen=True)
 class PreferenceMap:
     """Per-alternative sets of admissible 1-based ranking positions."""

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ FIXTURES = Path(__file__).resolve().parent.parent / "profiles"
 EXAMPLE1 = str(FIXTURES / "example1.profile")
 EXAMPLE2 = str(FIXTURES / "example2.profile")
 CONDORCET = str(FIXTURES / "condorcet.profile")
+LARGE = str(Path(__file__).resolve().parent / "golden" / "large_10x301.profile")
 
 NAME = {"type": "string"}
 POSITIONS = {"type": "array", "items": {"type": "integer", "minimum": 1}}
@@ -483,3 +485,29 @@ def test_module_invocation_smoke():
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["condition_holds"] is True
+
+
+@pytest.mark.parametrize(
+    "argv, read, unbuffered",
+    [
+        (["check", "--json", LARGE], 10, "1"),
+        (["check", "--json", LARGE], 10, ""),
+        (["verify", "--m", "3", "--n", "3", "--exhaustive"], 0, ""),
+    ],
+    ids=["large-unbuffered", "large-buffered", "small-buffered"],
+)
+def test_closed_stdout_exits_141_silently(argv, read, unbuffered):
+    # The 538 KB report overfills the pipe, so its write fails once the
+    # reader has gone.  The small report is still buffered when the command
+    # returns, so its write fails at the flush.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "senvr", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONUNBUFFERED": unbuffered},
+    )
+    assert len(proc.stdout.read(read)) == read
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 141
+    assert err == b""

@@ -10,10 +10,8 @@ from senvr import (
     Triple,
     UnknownAlternative,
     WeakOrder,
-    indifference_set,
     is_unconcerned,
     membership_map,
-    predominance_set,
     preference_map,
     restrict,
     triples,
@@ -80,7 +78,18 @@ def test_prefers_and_ties():
 
 
 # ---------------------------------------------------------------------------
-# predominance and indifference sets
+# predominance and indifference sets (the paper's xi and eta), kept here as
+# oracles for the positional reading of preference maps
+
+
+def predominance_set(order, alt):
+    """Alternatives strictly preferred to ``alt`` in ``order``."""
+    return frozenset().union(*order.classes[: order.rank_of(alt)])
+
+
+def indifference_set(order, alt):
+    """The entire indifference class of ``alt``, itself included."""
+    return order.classes[order.rank_of(alt)]
 
 
 def test_predominance_bottom_of_chain():
