@@ -6,8 +6,8 @@ role (best, medium, worst) across all concerned voters.  Three
 formulations answer the question: a cardinality bound on the union of
 admissible positions, a zero-cell test on the summed membership
 matrices, and a direct search over (alternative, role) pairs.  They
-are provably equivalent, and the library cross-asserts them on every
-call.
+are provably equivalent, and the library compares them on each of the
+13 ballot shapes over a triple before deciding any triple.
 """
 
 from pathlib import Path

@@ -20,8 +20,10 @@ The three ``check_*`` functions are the per-voter reference definitions.
 :func:`sen_condition` reaches the same verdicts by counting: restricted to
 a triple, a ballot has one of 13 shapes, so each check depends only on
 which shapes occur and the membership sum only on how many voters have
-each shape.  It reads each occurring shape's row once in each of the
-three representations and cross-asserts the results on every triple.
+each shape.  Its table of shape rows is built once, from the 13 orders
+over a triple read through the reference representations, and each
+shape's three readings are compared there, so they cannot split on any
+triple; a triple then costs one count per shape that occurs.
 A :class:`TripleReport` stores only the triple, the concerned voters and
 the nine sums; every verdict, witness and union is a reading of the sums.
 """
@@ -29,6 +31,7 @@ the nine sums; every verdict, witness and union is a reading of the sums.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -233,6 +236,7 @@ class SenVerdict:
 # 9*sgn(a-b) + 3*sgn(b-c) + sgn(a-c) + 13: one code for each of the 13 weak
 # orders over three alternatives, 13 itself meaning total indifference.
 _UNCONCERNED = 13
+_FIRST_TRIPLE = Triple((0, 1, 2))
 
 
 def _shape_codes(ranks: list[tuple[int, ...]], triple: Triple) -> list[int]:
@@ -247,73 +251,75 @@ def _shape_codes(ranks: list[tuple[int, ...]], triple: Triple) -> list[int]:
     ]
 
 
-@lru_cache(maxsize=16)
-def _shape_rows(order: WeakOrder) -> tuple[int, tuple[int, ...], int]:
-    """One restricted ballot read three ways, as cell ``3*row + column``.
+@lru_cache(maxsize=None)
+def _shape_rows() -> tuple[tuple[int, ...] | None, ...]:
+    """Each ballot shape's membership cells, in 27 slots indexed by shape code.
 
-    Returns the preference map's admissible positions as bits, the cells
-    where the membership matrix is 1, and the value sets as bits (value
-    ``v`` in column ``v - 1``).  Keyed by the restricted order, so it
-    holds at most the 13 orders over a triple.
+    Built from the 13 weak orders over the triple (0, 1, 2), each restricted
+    to it and read three ways: the preference map's admissible positions,
+    the membership matrix and the value sets, each as 9 bits, bit
+    ``3*i + j`` set iff row ``i`` admits position (value) ``j + 1``.  Unequal
+    readings raise :class:`InternalDisagreement`.  A slot holds the cells
+    ``3*row + column`` where the membership matrix is 1, or ``None`` for
+    the 14 codes that no order has.
     """
-    pm = preference_map(order)
-    positions = sum(1 << (3 * i + p - 1) for i, row in enumerate(pm.rows) for p in row)
-    cells = tuple(np.flatnonzero(membership_map(pm).entries).tolist())
-    values = sum(
-        1 << (3 * i + label.value - 1) for i in range(3) for label in value_set(order, i)
-    )
-    return positions, cells, values
+    rows: list[tuple[int, ...] | None] = [None] * 27
+    for ranks in itertools.product(range(3), repeat=3):
+        (code,) = _shape_codes([ranks], _FIRST_TRIPLE)
+        if rows[code] is not None:
+            continue
+        classes = (frozenset(i for i in range(3) if ranks[i] == r) for r in sorted(set(ranks)))
+        order = restrict(WeakOrder(tuple(classes)), _FIRST_TRIPLE)
+        pm = preference_map(order)
+        by_union = sum(1 << (3 * i + p - 1) for i, row in enumerate(pm.rows) for p in row)
+        cells = tuple(np.flatnonzero(membership_map(pm).entries).tolist())
+        by_membership = sum(1 << cell for cell in cells)
+        by_value = sum(
+            1 << (3 * i + label.value - 1) for i in range(3) for label in value_set(order, i)
+        )
+        if not by_union == by_membership == by_value:
+            raise InternalDisagreement(
+                f"checkers disagree on triple {_FIRST_TRIPLE.members} for shape {code}: "
+                f"union={by_union:09b} membership={by_membership:09b} "
+                f"qualitative={by_value:09b} (bit 3*row + column)"
+            )
+        rows[code] = cells
+    return tuple(rows)
 
 
 def _triple_report(
-    voters: tuple[WeakOrder, ...], triple: Triple, codes: list[int]
+    triple: Triple, codes: list[int], rows: tuple[tuple[int, ...] | None, ...]
 ) -> TripleReport:
-    """Decide one triple from the rows of the ballot shapes that occur.
-
-    Each shape that occurs is read once, off its first voter's restricted
-    ballot: its position rows and value sets are ORed in, and its
-    membership cells are added once per voter of that shape.  The three
-    results are 9-bit readings, bit ``3*i + j`` set iff row ``i`` admits
-    position (value) ``j + 1``; unequal readings raise
-    :class:`InternalDisagreement`.
-    """
-    if _UNCONCERNED in codes:
+    """Decide one triple from how many of its voters have each shape."""
+    shapes = set(codes)
+    if _UNCONCERNED in shapes:
+        shapes.remove(_UNCONCERNED)
         concerned = tuple(k for k, code in enumerate(codes) if code != _UNCONCERNED)
     else:
         concerned = tuple(range(len(codes)))
-    by_union = by_value = 0
     sums = [0] * 9
-    for code in set(codes) - {_UNCONCERNED}:
-        positions, cells, values = _shape_rows(restrict(voters[codes.index(code)], triple))
-        by_union |= positions
-        by_value |= values
+    for code in shapes:
         count = codes.count(code)
-        for cell in cells:
+        for cell in rows[code]:
             sums[cell] += count
-    by_membership = sum(1 << cell for cell in range(9) if sums[cell])
-    if not by_union == by_membership == by_value:
-        raise InternalDisagreement(
-            f"checkers disagree on triple {triple.members}: "
-            f"union={by_union:09b} membership={by_membership:09b} "
-            f"qualitative={by_value:09b} (bit 3*row + column)"
-        )
     return TripleReport(triple, concerned, tuple(sums))
 
 
 def sen_condition(profile: Profile) -> SenVerdict:
     """Check value restriction and concerned-count parity on every triple.
 
-    Each triple is decided in one pass over its voters' ballot shapes;
-    the union, membership and qualitative readings must agree, and a
-    disagreement raises :class:`InternalDisagreement` since it can only
-    mean a bug.  The condition holds iff every triple is value-restricted
-    and has an odd number of concerned voters.
+    Each triple is decided in one pass over its voters' shape codes: the
+    concerned voters of each shape add that shape's membership cells from
+    :func:`_shape_rows`, whose union, membership and qualitative readings
+    were compared when it was built.  The condition holds iff every triple
+    is value-restricted and has an odd number of concerned voters.
     """
     if profile.num_alternatives < 3:
         raise ValueError("the condition is defined for at least 3 alternatives")
+    rows = _shape_rows()
     ranks = [voter.ranks for voter in profile.voters]
     reports = tuple(
-        _triple_report(profile.voters, triple, _shape_codes(ranks, triple))
+        _triple_report(triple, _shape_codes(ranks, triple), rows)
         for triple in triples(profile.num_alternatives)
     )
     return SenVerdict(reports)

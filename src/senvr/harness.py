@@ -253,13 +253,14 @@ class HarnessReport:
 def run_harness(config: HarnessConfig) -> HarnessReport:
     """Sweep profiles, cross-checking the condition against transitivity.
 
-    Every profile passes through the full condition decision (whose
-    three checkers cross-assert on each triple) and the majority rule.
+    Every profile passes through the full condition decision and the
+    majority rule.
     The stream is taken in chunks of ``CHUNK_PROFILES``: majority
     transitivity is decided for a whole chunk at once from its
     (profiles, voters, m) rank array, then the condition is decided and
     the outcomes counted profile by profile, in stream order.
-    Raises InternalDisagreement if the checkers ever split.
+    Raises InternalDisagreement if the three readings of a ballot shape
+    ever split.
     """
     if config.mode is HarnessMode.EXHAUSTIVE:
         stream = enumerate_profiles(config.m, config.n)

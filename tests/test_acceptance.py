@@ -16,6 +16,9 @@ import pytest
 
 from senvr import (
     ValueLabel,
+    check_membership_equation,
+    check_union_inequality,
+    check_value_restriction_oracle,
     enumerate_profiles,
     enumerate_weak_orders,
     is_transitive,
@@ -44,26 +47,50 @@ def criterion(n, label):
     print(f"[criterion {n}] PASS  {label}", file=sys.stderr)
 
 
-def _analyze(profile):
+def _shape_set(profile, triple):
+    """The concerned ballot shapes that occur on ``triple``, each as the
+    signs of its voter's three rank differences."""
+    x, y, z = triple.members
+    shapes = {
+        (
+            (r[x] > r[y]) - (r[x] < r[y]),
+            (r[y] > r[z]) - (r[y] < r[z]),
+            (r[x] > r[z]) - (r[x] < r[z]),
+        )
+        for r in (voter.ranks for voter in profile.voters)
+    }
+    shapes.discard((0, 0, 0))
+    return frozenset(shapes)
+
+
+def _analyze(profile, representatives):
     verdict = sen_condition(profile)
     transitive, _ = is_transitive(majority_relation(pairwise_tallies(profile)))
     checkers_agree = all(
         r.vr_ineq == r.vr_eq == r.vr_oracle for r in verdict.per_triple
     )
+    for report in verdict.per_triple:
+        representatives.setdefault(_shape_set(profile, report.triple), (profile, report))
     return verdict.condition_holds, transitive, checkers_agree
 
 
 @pytest.fixture(scope="module")
 def sweeps():
     # shared by criteria 3, 4, 5: the 2197-profile exhaustive sweep at
-    # m=3, n=3 plus 10,000 seeded random profiles at m=5, n=7
+    # m=3, n=3 plus 10,000 seeded random profiles at m=5, n=7; every triple
+    # is grouped by the set of concerned ballot shapes on it, keeping the
+    # first (profile, report) of each set
     start = time.perf_counter()
-    exhaustive = [_analyze(p) for p in enumerate_profiles(3, 3)]
+    representatives = {}
+    exhaustive = [_analyze(p, representatives) for p in enumerate_profiles(3, 3)]
     random = [
-        _analyze(random_profile(5, 7, seed=42, trial=t)) for t in range(10_000)
+        _analyze(random_profile(5, 7, seed=42, trial=t), representatives)
+        for t in range(10_000)
     ]
     elapsed = time.perf_counter() - start
-    return SimpleNamespace(exhaustive=exhaustive, random=random, elapsed=elapsed)
+    return SimpleNamespace(
+        exhaustive=exhaustive, random=random, representatives=representatives, elapsed=elapsed
+    )
 
 
 def test_criterion_1_preference_map_goldens(capsys):
@@ -124,6 +151,20 @@ def test_criterion_3_checker_equivalence(sweeps):
         assert len(sweeps.random) == 10_000
         assert all(agree for _, _, agree in sweeps.exhaustive)
         assert all(agree for _, _, agree in sweeps.random)
+        # a triple's verdict and witnesses depend only on which concerned
+        # shapes occur on it, so the reference checkers run once per set
+        assert 0 < len(sweeps.representatives) <= 4096
+        for profile, report in sweeps.representatives.values():
+            triple = report.triple
+            assert check_union_inequality(profile, triple) == (
+                report.value_restricted, report.ineq_witness
+            )
+            assert check_membership_equation(profile, triple)[:2] == (
+                report.value_restricted, report.eq_witness
+            )
+            assert check_value_restriction_oracle(profile, triple) == (
+                report.value_restricted, report.oracle_witness
+            )
         assert sweeps.elapsed < 60.0
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,10 +21,14 @@ from senvr import (
     check_union_inequality,
     check_value_restriction_oracle,
     concerned_set,
+    membership_map,
+    parse_profile,
     preference_map,
+    random_profile,
     restrict,
     row_position_unions,
     sen_condition,
+    triples,
     value_set,
 )
 
@@ -241,24 +246,46 @@ def test_sen_condition_requires_three_alternatives():
 
 
 def test_sen_condition_exhaustive_small_profiles():
-    # every 1- and 2-voter profile over 3 alternatives; the three checkers
-    # must agree (sen_condition raises InternalDisagreement otherwise)
+    # every 1- and 2-voter profile over 3 alternatives
     orders = all_weak_orders_3()
     names = ("x1", "x2", "x3")
     for n in (1, 2):
         for combo in itertools.product(orders, repeat=n):
-            sen_condition(Profile(names, combo))
+            assert_reports_match_the_reference_checkers(Profile(names, combo))
 
 
 # ---------------------------------------------------------------------------
 # cross-checker properties
 
 
-@given(profiles())
-def test_checkers_agree_everywhere(profile):
+def assert_reports_match_the_reference_checkers(profile):
     verdict = sen_condition(profile)
+    assert [r.triple for r in verdict.per_triple] == list(triples(profile.num_alternatives))
     for report in verdict.per_triple:
-        assert report.vr_ineq == report.vr_eq == report.vr_oracle
+        triple = report.triple
+        assert report.concerned == tuple(sorted(concerned_set(profile, triple)))
+        vr_eq, eq_witness, sums = check_membership_equation(profile, triple)
+        assert report.sum_matrix.tolist() == sums.tolist()
+        assert (report.vr_eq, report.eq_witness) == (vr_eq, eq_witness)
+        assert (report.vr_ineq, report.ineq_witness) == check_union_inequality(profile, triple)
+        assert (report.vr_oracle, report.oracle_witness) == check_value_restriction_oracle(
+            profile, triple
+        )
+    assert verdict.condition_holds == all(
+        check_union_inequality(profile, r.triple)[0] and len(r.concerned) % 2 == 1
+        for r in verdict.per_triple
+    )
+
+
+@given(profiles(m_max=6))
+def test_checkers_agree_everywhere(profile):
+    assert_reports_match_the_reference_checkers(profile)
+
+
+@pytest.mark.parametrize("m", [4, 5, 6, 7])
+def test_seeded_random_profiles_match_the_reference_checkers(m):
+    for trial, n in enumerate((1, 2, 5, 8, 13)):
+        assert_reports_match_the_reference_checkers(random_profile(m, n, seed=m, trial=trial))
 
 
 @given(profiles())
@@ -372,6 +399,54 @@ def test_sum_matrix_counts_voters_of_each_shape():
     _, _, sums = check_membership_equation(profile, T012)
     assert report.sum_matrix.tolist() == sums.tolist()
     assert report.concerned == tuple(range(len(voters)))
+
+
+def test_shape_table_holds_the_three_readings_of_every_order_over_a_triple():
+    # slot 9*sgn(a-b) + 3*sgn(b-c) + sgn(a-c) + 13 of ranks (a, b, c); 13 is
+    # total indifference, and the 14 codes no order has stay empty
+    senvr.condition._shape_rows.cache_clear()
+    rows = senvr.condition._shape_rows()
+    assert len(rows) == 27
+
+    def sign(d):
+        return (d > 0) - (d < 0)
+
+    codes = {}
+    for order in all_weak_orders_3():
+        a, b, c = order.ranks
+        codes[9 * sign(a - b) + 3 * sign(b - c) + sign(a - c) + 13] = order
+    assert len(codes) == 13 and codes[13] == wo({0, 1, 2})
+    assert [code for code, row in enumerate(rows) if row is not None] == sorted(codes)
+    for code, order in codes.items():
+        pm = preference_map(order)
+        by_membership = np.flatnonzero(membership_map(pm).entries).tolist()
+        by_union = sorted(3 * i + p - 1 for i in range(3) for p in pm.rows[i])
+        by_value = sorted(3 * i + v.value - 1 for i in range(3) for v in value_set(order, i))
+        assert list(rows[code]) == by_membership == by_union == by_value
+
+
+def test_sen_condition_restricts_only_the_table_orders(monkeypatch):
+    # the table is built from the 13 orders over (0, 1, 2); no voter is
+    # restricted, however many voters and triples the profile has
+    calls = []
+    real = senvr.condition.restrict
+
+    def counting(order, triple):
+        calls.append((order, triple))
+        return real(order, triple)
+
+    monkeypatch.setattr(senvr.condition, "restrict", counting)
+    real.cache_clear()
+    senvr.condition._shape_rows.cache_clear()
+    try:
+        golden = Path(__file__).resolve().parent / "golden" / "large_10x301.profile"
+        profile = parse_profile(golden.read_text(encoding="utf-8"))
+        verdict = sen_condition(profile)
+    finally:
+        senvr.condition._shape_rows.cache_clear()
+    assert len(verdict.per_triple) == 120
+    assert 0 < len(calls) <= 13
+    assert {triple for _, triple in calls} == {T012}
 
 
 @pytest.mark.parametrize("source", ["preference_map", "membership_map", "value_set"])
