@@ -176,19 +176,12 @@ class TripleReport:
     sums: tuple[int, ...]
 
     @property
-    def concerned_count(self) -> int:
-        return len(self.concerned)
-
-    @property
     def parity_ok(self) -> bool:
         return len(self.concerned) % 2 == 1
 
     @property
     def value_restricted(self) -> bool:
         return 0 in self.sums
-
-    # the union, membership and qualitative verdicts, equal by construction
-    vr_ineq = vr_eq = vr_oracle = value_restricted
 
     @property
     def eq_witness(self) -> tuple[int, int] | None:
@@ -268,8 +261,7 @@ def _shape_rows() -> tuple[tuple[int, ...] | None, ...]:
         (code,) = _shape_codes([ranks], _FIRST_TRIPLE)
         if rows[code] is not None:
             continue
-        classes = (frozenset(i for i in range(3) if ranks[i] == r) for r in sorted(set(ranks)))
-        order = restrict(WeakOrder(tuple(classes)), _FIRST_TRIPLE)
+        order = restrict(WeakOrder.from_ranks(ranks), _FIRST_TRIPLE)
         pm = preference_map(order)
         by_union = sum(1 << (3 * i + p - 1) for i, row in enumerate(pm.rows) for p in row)
         cells = tuple(np.flatnonzero(membership_map(pm).entries).tolist())

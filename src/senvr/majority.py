@@ -170,8 +170,4 @@ def social_ordering(rel: SocialRelation) -> WeakOrder | CycleReport:
         return CycleReport(witness)
     strict = rel.weak & ~rel.weak.T
     wins = strict.sum(axis=1)
-    classes = tuple(
-        frozenset(int(a) for a in np.flatnonzero(wins == count))
-        for count in sorted(set(wins.tolist()), reverse=True)
-    )
-    return WeakOrder(classes)
+    return WeakOrder.from_ranks((-wins).tolist())

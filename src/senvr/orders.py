@@ -66,24 +66,23 @@ class WeakOrder:
         object.__setattr__(self, "_ranks", tuple(rank))
 
     @classmethod
-    def from_classes(
-        cls, classes: Iterable[Iterable[int]], universe_size: int
-    ) -> WeakOrder:
-        """Build a weak order, checking the classes against an explicit universe.
+    def from_ranks(cls, ranks: Sequence[int]) -> WeakOrder:
+        """The weak order in which alternative ``i`` sits in the class of ``ranks[i]``.
+
+        Lower values are preferred and equal values tie; the values need
+        not be consecutive, only comparable.
 
         Raises
         ------
         PartitionError
-            If the classes overlap, contain out-of-range ids, miss ids,
-            or contain an empty class.
+            If ``ranks`` is empty.
         """
-        order = cls(tuple(frozenset(c) for c in classes))
-        if order.num_alternatives != universe_size:
-            raise PartitionError(
-                f"classes cover {order.num_alternatives} alternatives, "
-                f"expected {universe_size}"
+        return cls(
+            tuple(
+                frozenset(alt for alt, r in enumerate(ranks) if r == value)
+                for value in sorted(set(ranks))
             )
-        return order
+        )
 
     @property
     def ranks(self) -> tuple[int, ...]:
@@ -203,13 +202,7 @@ def restrict(order: WeakOrder, subset: Triple) -> WeakOrder:
     Non-members are dropped, emptied classes deleted, and the class
     ordering kept; local id ``i`` is the i-th triple member.
     """
-    ranks = [order.rank_of(alt) for alt in subset.members]
-    kept = sorted(set(ranks))
-    classes = tuple(
-        frozenset(local for local, r in enumerate(ranks) if r == keep)
-        for keep in kept
-    )
-    return WeakOrder(classes)
+    return WeakOrder.from_ranks([order.ranks[alt] for alt in subset.members])
 
 
 def is_unconcerned(order: WeakOrder, subset: Triple) -> bool:

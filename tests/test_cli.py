@@ -435,6 +435,13 @@ def test_verify_rejects_out_of_range_requests(capsys, argv):
     assert err
 
 
+def test_verify_exhaustive_out_of_range_m_exits_2_with_the_range_message(capsys):
+    code, out, err = run_cli(capsys, "verify", "--m", "1200", "--n", "1", "--exhaustive")
+    assert code == 2
+    assert out == ""
+    assert err == "error: can enumerate weak orders for 1 <= m <= 5, got m=1200\n"
+
+
 def test_verify_reports_violations_with_exit_4(capsys, monkeypatch):
     profile = parse_profile(Path(EXAMPLE2).read_text())
     fake = HarnessReport(

@@ -96,6 +96,13 @@ def test_enumerate_profiles_guard_is_eager():
         enumerate_profiles(3, 7)
 
 
+def test_enumerate_profiles_checks_the_alternative_range_before_the_budget():
+    # counting the weak orders of 1200 alternatives would recurse too deep
+    message = r"^can enumerate weak orders for 1 <= m <= 5, got m=1200$"
+    with pytest.raises(RangeError, match=message):
+        enumerate_profiles(1200, 1)
+
+
 def test_random_profile_is_deterministic():
     a = random_profile(4, 3, seed=11, trial=5)
     b = random_profile(4, 3, seed=11, trial=5)

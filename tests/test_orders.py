@@ -10,6 +10,7 @@ from senvr import (
     Triple,
     UnknownAlternative,
     WeakOrder,
+    enumerate_weak_orders,
     is_unconcerned,
     membership_map,
     preference_map,
@@ -26,8 +27,7 @@ def wo(*classes):
 def weak_orders(draw, m):
     # any label vector compresses to a unique weak order
     labels = draw(st.lists(st.integers(0, m - 1), min_size=m, max_size=m))
-    distinct = sorted(set(labels))
-    return wo(*({i for i, l in enumerate(labels) if l == d} for d in distinct))
+    return WeakOrder.from_ranks(labels)
 
 
 # ---------------------------------------------------------------------------
@@ -35,31 +35,49 @@ def weak_orders(draw, m):
 
 
 def test_from_classes_strict_chain():
-    order = WeakOrder.from_classes([{0}, {1}, {2}], 3)
+    order = wo({0}, {1}, {2})
     assert order.classes == (frozenset({0}), frozenset({1}), frozenset({2}))
     assert order.ranks == (0, 1, 2)
 
 
 def test_from_classes_total_indifference():
-    order = WeakOrder.from_classes([{0, 1, 2}], 3)
+    order = wo({0, 1, 2})
     assert order.num_classes == 1
     assert order.ranks == (0, 0, 0)
 
 
 @pytest.mark.parametrize(
-    "classes, size",
+    "classes",
     [
-        ([{0}, {0, 1}], 2),  # overlap
-        ([{0}], 2),  # missing id
-        ([{0}, {2}], 2),  # out of range
-        ([{0}, set(), {1}], 2),  # empty class
-        ([{0}, {1}], 3),  # wrong universe size
-        ([], 0),  # no classes at all
+        pytest.param([{0}, {0, 1}], id="overlap"),
+        pytest.param([{1}], id="missing-id"),  # 0 is missing
+        pytest.param([{0}, {2}], id="out-of-range"),
+        pytest.param([{0}, set(), {1}], id="empty-class"),
+        pytest.param([], id="no-classes"),
     ],
 )
-def test_from_classes_rejects_non_partitions(classes, size):
+def test_weak_order_rejects_non_partitions(classes):
     with pytest.raises(PartitionError):
-        WeakOrder.from_classes(classes, size)
+        wo(*classes)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_from_ranks_reranks_densely(m):
+    # values may skip (range(m + 1) over m slots) and still rank densely
+    for values in itertools.product(range(m + 1), repeat=m):
+        dense = tuple(sorted(set(values)).index(v) for v in values)
+        assert WeakOrder.from_ranks(values).ranks == dense
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_from_ranks_round_trips_every_weak_order(m):
+    for order in enumerate_weak_orders(m):
+        assert WeakOrder.from_ranks(order.ranks) == order
+
+
+def test_from_ranks_rejects_no_alternatives():
+    with pytest.raises(PartitionError):
+        WeakOrder.from_ranks([])
 
 
 def test_direct_construction_is_validated_too():

@@ -22,10 +22,7 @@ def profiles(draw, m_max=5, n_max=6):
     voters = []
     for _ in range(n):
         labels = draw(st.lists(st.integers(0, m - 1), min_size=m, max_size=m))
-        distinct = sorted(set(labels))
-        voters.append(
-            wo(*({i for i, l in enumerate(labels) if l == d} for d in distinct))
-        )
+        voters.append(WeakOrder.from_ranks(labels))
     return Profile(default_alternative_names(m), tuple(voters))
 
 
