@@ -16,6 +16,7 @@ text report is a rendering of that payload.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -24,7 +25,7 @@ from pathlib import Path
 
 from senvr import __version__
 from senvr.condition import InternalDisagreement, TripleReport, sen_condition
-from senvr.harness import HarnessConfig, HarnessMode, run_harness
+from senvr.harness import HarnessConfig, HarnessMode, HarnessReport, run_harness
 from senvr.majority import (
     CycleReport,
     majority_relation,
@@ -39,17 +40,13 @@ from senvr.orders import (
     preference_map,
     restrict,
 )
-from senvr.profile_io import parse_profile, serialize_profile
+from senvr.profile_io import ballot_groups, format_ballot, parse_profile, serialize_profile
 
 __all__ = ["main"]
 
 
 def _format_set(positions: Sequence[int]) -> str:
     return "{" + ", ".join(str(p) for p in positions) + "}"
-
-
-def _format_classes(classes: Sequence[Sequence[str]]) -> str:
-    return " > ".join(" ~ ".join(cls) for cls in classes)
 
 
 def _read_profile(path: str) -> Profile:
@@ -87,9 +84,7 @@ def _triple_payload(profile: Profile, report: TripleReport) -> dict:
 
 def _social_payload(profile: Profile, outcome: WeakOrder | CycleReport) -> dict:
     if isinstance(outcome, WeakOrder):
-        ordering = [
-            [profile.name_of(alt) for alt in sorted(cls)] for cls in outcome.classes
-        ]
+        ordering = ballot_groups(outcome, profile.alternative_names)
         return {"transitive": True, "ordering": ordering, "cycle": None}
     return {
         "transitive": False,
@@ -152,7 +147,7 @@ def _render_check(payload: dict, num_voters: int) -> str:
     social = payload["social"]
     if social["transitive"]:
         lines.append("majority relation is transitive")
-        lines.append(f"social ordering: {_format_classes(social['ordering'])}")
+        lines.append(f"social ordering: {format_ballot(social['ordering'])}")
     else:
         a, b, c = social["cycle"]
         lines.append("majority relation is not transitive")
@@ -189,7 +184,7 @@ def _render_pm(payload: dict) -> str:
         lines.append(f"triple: ({', '.join(payload['triple'])})")
     for voter in payload["voters"]:
         lines.append("")
-        lines.append(f"voter {voter['voter']}: {_format_classes(voter['ordering'])}")
+        lines.append(f"voter {voter['voter']}: {format_ballot(voter['ordering'])}")
         lines.append("  preference map:")
         lines.extend(
             f"    {name}: {_format_set(row)}"
@@ -219,9 +214,7 @@ def cmd_pm(args: argparse.Namespace) -> int:
         voters.append(
             {
                 "voter": index,
-                "ordering": [
-                    [local_names[alt] for alt in sorted(cls)] for cls in order.classes
-                ],
+                "ordering": ballot_groups(order, local_names),
                 "preference_map": {
                     local_names[alt]: sorted(row) for alt, row in enumerate(pm.rows)
                 },
@@ -256,17 +249,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "n": config.n,
         "trials": config.trials if mode is HarnessMode.RANDOM else None,
         "seed": config.seed if mode is HarnessMode.RANDOM else None,
-        "profiles_tested": report.profiles_tested,
-        "condition_held_count": report.condition_held_count,
-        "condition_held_and_transitive_count": (
-            report.condition_held_and_transitive_count
-        ),
-        "condition_failed_count": report.condition_failed_count,
-        "condition_failed_but_transitive_count": (
-            report.condition_failed_but_transitive_count
-        ),
-        "violations": [serialize_profile(p) for p in report.violations],
+        **{f.name: getattr(report, f.name) for f in dataclasses.fields(report)},
     }
+    payload["violations"] = [serialize_profile(p) for p in report.violations]
     print(json.dumps(payload, indent=2) if args.json else _render_verify(payload))
     return 0 if not report.violations else 4
 
@@ -275,16 +260,19 @@ def _render_verify(payload: dict) -> str:
     header = "mode: exhaustive (m={m}, n={n})"
     if payload["mode"] == HarnessMode.RANDOM.value:
         header = "mode: random (m={m}, n={n}, trials={trials}, seed={seed})"
+    # HarnessReport's fields in declaration order: a new field fails this
+    # unpacking until it is rendered too
+    tested, held, held_transitive, failed, failed_transitive, violations = (
+        payload[field.name] for field in dataclasses.fields(HarnessReport)
+    )
     lines = [
         header.format(**payload),
-        f"profiles tested: {payload['profiles_tested']}",
-        f"condition held: {payload['condition_held_count']} "
-        f"(transitive: {payload['condition_held_and_transitive_count']})",
-        f"condition failed: {payload['condition_failed_count']} "
-        f"(transitive anyway: {payload['condition_failed_but_transitive_count']})",
-        f"violations: {len(payload['violations'])}",
+        f"profiles tested: {tested}",
+        f"condition held: {held} (transitive: {held_transitive})",
+        f"condition failed: {failed} (transitive anyway: {failed_transitive})",
+        f"violations: {len(violations)}",
     ]
-    for i, text in enumerate(payload["violations"], start=1):
+    for i, text in enumerate(violations, start=1):
         lines.append(f"violation {i} (condition holds, majority relation intransitive):")
         lines.extend("    " + line for line in text.splitlines())
     return "\n".join(lines)

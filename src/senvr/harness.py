@@ -12,12 +12,11 @@ over the chunk's rank array; the condition is decided per profile.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -63,25 +62,28 @@ def default_alternative_names(m: int) -> tuple[str, ...]:
     return tuple(f"x{i + 1}" for i in range(m))
 
 
-@cache
-def _stirling2(m: int, k: int) -> int:
-    """Partitions of an m-set into k unlabeled nonempty blocks."""
-    if m == 0:
-        return 1 if k == 0 else 0
-    if k == 0:
-        return 0
-    return k * _stirling2(m - 1, k) + _stirling2(m - 1, k - 1)
+# bounded: the sampler needs m <= 8, and rows for large m hold O(m^2) digits
+@lru_cache(maxsize=MAX_SAMPLED_ALTERNATIVES)
+def _weak_order_counts(m: int) -> tuple[int, ...]:
+    """Entry k: weak orders on m alternatives with exactly k classes, k = 0..m.
+
+    Built row by row with F(m, k) = k * (F(m-1, k) + F(m-1, k-1)): the
+    m-th alternative either joins one of the k classes of an order on
+    the others or opens a new class in one of k places.
+    """
+    row = [1]  # m = 0: the empty order, with no classes
+    for _ in range(m):
+        prev = row + [0]
+        # F(m, 0) = 0 for m > 0: the k = 0 term is 0 whatever prev[-1] holds
+        row = [k * (prev[k] + prev[k - 1]) for k in range(len(prev))]
+    return tuple(row)
 
 
 def count_weak_orders(m: int) -> int:
-    """Number of weak orders on m alternatives.
-
-    A weak order is an ordered partition, so the count is the sum over
-    k of k! times the number of partitions into k blocks.
-    """
+    """Number of weak orders on m alternatives (the Fubini number of m)."""
     if m < 0:
         raise ValueError("alternative count cannot be negative")
-    return sum(math.factorial(k) * _stirling2(m, k) for k in range(m + 1))
+    return sum(_weak_order_counts(m))
 
 
 @cache
@@ -128,12 +130,6 @@ def enumerate_profiles(m: int, n: int) -> Iterator[Profile]:
 
 
 @cache
-def _class_count_weights(m: int) -> tuple[int, ...]:
-    # weight of k classes = number of weak orders with exactly k classes
-    return tuple(math.factorial(k) * _stirling2(m, k) for k in range(1, m + 1))
-
-
-@cache
 def _rgs_completions(m: int, k: int) -> tuple[tuple[int, ...], ...]:
     """ways[i][b]: restricted growth strings for positions i..m-1 that
     end with exactly k blocks, given b blocks already open."""
@@ -155,13 +151,14 @@ def _sample_weak_order(m: int, rng: random.Random) -> WeakOrder:
     a uniform permutation assigning those blocks to class positions.
     Each weak order arises from exactly one such triple.
     """
-    k = rng.choices(range(1, m + 1), weights=_class_count_weights(m))[0]
+    # k = 0 has weight 0, so the draw is the same as over k = 1..m alone
+    k = rng.choices(range(m + 1), weights=_weak_order_counts(m))[0]
     ways = _rgs_completions(m, k)
     labels = []
     opened = 0
     for i in range(m):
         reuse = opened * ways[i + 1][opened]
-        pick = rng.randrange(reuse + ways[i + 1][opened + 1])
+        pick = rng.randrange(ways[i][opened])
         if pick < reuse:
             labels.append(pick // ways[i + 1][opened])
         else:

@@ -49,17 +49,10 @@ class PairwiseTally:
         prefer.setflags(write=False)
         object.__setattr__(self, "prefer", prefer)
 
-    @property
-    def num_alternatives(self) -> int:
-        return self.prefer.shape[0]
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PairwiseTally):
             return NotImplemented
         return np.array_equal(self.prefer, other.prefer)
-
-    def __hash__(self) -> int:
-        return hash(self.prefer.tobytes())
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,25 +72,10 @@ class SocialRelation:
         weak.setflags(write=False)
         object.__setattr__(self, "weak", weak)
 
-    @property
-    def num_alternatives(self) -> int:
-        return self.weak.shape[0]
-
-    def strictly_prefers(self, a: int, b: int) -> bool:
-        """True iff society ranks ``a`` above ``b`` (a R b but not b R a)."""
-        return bool(self.weak[a, b] and not self.weak[b, a])
-
-    def indifferent(self, a: int, b: int) -> bool:
-        """True iff ``a`` and ``b`` are socially tied (a R b and b R a)."""
-        return bool(self.weak[a, b] and self.weak[b, a])
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SocialRelation):
             return NotImplemented
         return np.array_equal(self.weak, other.weak)
-
-    def __hash__(self) -> int:
-        return hash(self.weak.tobytes())
 
 
 @dataclass(frozen=True)

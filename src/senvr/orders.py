@@ -149,10 +149,6 @@ class MembershipMatrix:
             return NotImplemented
         return np.array_equal(self.entries, other.entries)
 
-    def row_positions(self, alt: AlternativeId) -> frozenset[int]:
-        """Read one alternative's admissible positions back off the matrix."""
-        return frozenset(int(j) + 1 for j in np.flatnonzero(self.entries[alt]))
-
 
 @lru_cache(maxsize=8192)
 def membership_map(pm: PreferenceMap) -> MembershipMatrix:
@@ -183,10 +179,6 @@ class Triple:
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.members)
-
-    def local_index(self, alt: AlternativeId) -> int:
-        """Position of ``alt`` within the triple (0, 1 or 2)."""
-        return self.members.index(alt)
 
 
 def triples(m: int) -> Iterator[Triple]:

@@ -13,6 +13,7 @@ declared alternative exactly once.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Sequence
 
 from senvr.orders import Profile, WeakOrder
 
@@ -45,8 +46,7 @@ def _parse_declaration(rest: str, line: int) -> tuple[str, ...]:
     return names
 
 
-def _parse_ballot(rest: str, line: int, names: tuple[str, ...]) -> WeakOrder:
-    index = {name: i for i, name in enumerate(names)}
+def _parse_ballot(rest: str, line: int, index: dict[str, int]) -> WeakOrder:
     classes = []
     seen: set[str] = set()
     for group in rest.split(">"):
@@ -64,8 +64,8 @@ def _parse_ballot(rest: str, line: int, names: tuple[str, ...]) -> WeakOrder:
             seen.add(name)
             members.add(index[name])
         classes.append(frozenset(members))
-    if seen != set(names):
-        missing = sorted(set(names) - seen, key=index.__getitem__)
+    if len(seen) != len(index):
+        missing = [name for name in index if name not in seen]
         raise ParseError(line, f"ballot is missing {', '.join(repr(n) for n in missing)}")
     return WeakOrder(tuple(classes))
 
@@ -73,38 +73,45 @@ def _parse_ballot(rest: str, line: int, names: tuple[str, ...]) -> WeakOrder:
 def parse_profile(text: str) -> Profile:
     """Parse profile text (UTF-8 string, LF or CRLF, an optional leading
     byte-order mark) into a Profile."""
-    names: tuple[str, ...] | None = None
+    index: dict[str, int] | None = None  # name -> id, in declaration order
     voters: list[WeakOrder] = []
     for lineno, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("alternatives:"):
-            if names is not None:
+            if index is not None:
                 raise ParseError(lineno, "alternatives already declared")
             names = _parse_declaration(line[len("alternatives:"):], lineno)
+            index = {name: i for i, name in enumerate(names)}
         elif line.startswith("voter:"):
-            if names is None:
+            if index is None:
                 raise ParseError(lineno, "voter line before alternatives declaration")
-            voters.append(_parse_ballot(line[len("voter:"):], lineno, names))
+            voters.append(_parse_ballot(line[len("voter:"):], lineno, index))
         else:
             raise ParseError(
                 lineno, "unrecognized line (expected 'alternatives:' or 'voter:')"
             )
-    if names is None:
+    if index is None:
         raise ParseError(None, "no alternatives declaration found")
     if not voters:
         raise ParseError(None, "no voter lines found")
-    return Profile(names, tuple(voters))
+    return Profile(tuple(index), tuple(voters))
+
+
+def ballot_groups(order: WeakOrder, names: Sequence[str]) -> list[list[str]]:
+    """The names in each class of ``order``, best class first, each class by id."""
+    return [[names[alt] for alt in sorted(cls)] for cls in order.classes]
+
+
+def format_ballot(groups: Iterable[Iterable[str]]) -> str:
+    """Ballot text for name groups, best first: ``x ~ y > z``."""
+    return " > ".join(" ~ ".join(group) for group in groups)
 
 
 def serialize_profile(profile: Profile) -> str:
     """Canonical text for a profile; parsing it back gives an equal Profile."""
     lines = ["alternatives: " + " ".join(profile.alternative_names)]
     for voter in profile.voters:
-        groups = (
-            " ~ ".join(profile.name_of(alt) for alt in sorted(cls))
-            for cls in voter.classes
-        )
-        lines.append("voter: " + " > ".join(groups))
+        lines.append("voter: " + format_ballot(ballot_groups(voter, profile.alternative_names)))
     return "\n".join(lines) + "\n"

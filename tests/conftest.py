@@ -1,14 +1,18 @@
+import os
 from pathlib import Path
 
 import pytest
 
-from senvr import Profile, WeakOrder
+from helpers import wo
+from senvr import Profile
 
-FIXTURE_DIR = Path(__file__).resolve().parent.parent / "profiles"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
-
-def wo(*classes):
-    return WeakOrder(tuple(frozenset(c) for c in classes))
+# pyproject's `pythonpath` reaches only this process; the CLI and demo
+# runs that tests spawn import senvr through the environment they inherit
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+)
 
 
 @pytest.fixture

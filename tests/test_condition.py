@@ -4,9 +4,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given
 
 import senvr.condition
+from helpers import profiles, wo
 from senvr import (
     InternalDisagreement,
     MembershipMatrix,
@@ -16,7 +17,6 @@ from senvr import (
     Triple,
     TripleReport,
     ValueLabel,
-    WeakOrder,
     check_membership_equation,
     check_union_inequality,
     check_value_restriction_oracle,
@@ -33,10 +33,6 @@ from senvr import (
 )
 
 
-def wo(*classes):
-    return WeakOrder(tuple(frozenset(c) for c in classes))
-
-
 def all_weak_orders_3():
     # brute force: every label vector over {0,1,2} whose labels form an
     # initial segment is one weak order, and each order appears once
@@ -48,18 +44,6 @@ def all_weak_orders_3():
             wo(*({i for i in range(3) if labels[i] == k} for k in sorted(set(labels))))
         )
     return orders
-
-
-@st.composite
-def profiles(draw, m_min=3, m_max=5, n_max=6):
-    m = draw(st.integers(m_min, m_max))
-    n = draw(st.integers(1, n_max))
-    voters = []
-    for _ in range(n):
-        labels = draw(st.lists(st.integers(0, m - 1), min_size=m, max_size=m))
-        voters.append(WeakOrder.from_ranks(labels))
-    names = tuple(f"x{i + 1}" for i in range(m))
-    return Profile(names, tuple(voters))
 
 
 T012 = Triple((0, 1, 2))
@@ -277,7 +261,7 @@ def assert_reports_match_the_reference_checkers(profile):
     )
 
 
-@given(profiles(m_max=6))
+@given(profiles(m_min=3, m_max=6))
 def test_checkers_agree_everywhere(profile):
     assert_reports_match_the_reference_checkers(profile)
 
@@ -288,7 +272,7 @@ def test_seeded_random_profiles_match_the_reference_checkers(m):
         assert_reports_match_the_reference_checkers(random_profile(m, n, seed=m, trial=trial))
 
 
-@given(profiles())
+@given(profiles(m_min=3))
 def test_witnesses_point_at_the_same_row(profile):
     for report in sen_condition(profile).per_triple:
         if not report.value_restricted:
@@ -298,19 +282,19 @@ def test_witnesses_point_at_the_same_row(profile):
                 and report.oracle_witness is None
             )
             continue
-        row = report.triple.local_index(report.ineq_witness)
+        row = report.triple.members.index(report.ineq_witness)
         assert report.eq_witness[0] == row
         assert report.oracle_witness[0] == report.ineq_witness
         # the missing position and the missing value correspond
         assert report.eq_witness[1] + 1 == report.oracle_witness[1].value
 
 
-@given(profiles())
+@given(profiles(m_min=3))
 def test_ineq_witness_survives_recomputation(profile):
     for report in sen_condition(profile).per_triple:
         if report.ineq_witness is None:
             continue
-        row = report.triple.local_index(report.ineq_witness)
+        row = report.triple.members.index(report.ineq_witness)
         union = set()
         for k in concerned_set(profile, report.triple):
             union |= preference_map(restrict(profile.voters[k], report.triple)).rows[row]
@@ -318,7 +302,7 @@ def test_ineq_witness_survives_recomputation(profile):
         assert union == report.row_unions[row]
 
 
-@given(profiles())
+@given(profiles(m_min=3))
 def test_sum_matrix_row_bounds(profile):
     for report in sen_condition(profile).per_triple:
         count = len(report.concerned)
@@ -327,7 +311,7 @@ def test_sum_matrix_row_bounds(profile):
             assert count <= row_sum <= 3 * count
 
 
-@given(profiles(m_max=4, n_max=4))
+@given(profiles(m_min=3, m_max=4, n_max=4))
 def test_adding_unconcerned_voter_changes_nothing(profile):
     m = profile.num_alternatives
     padded = Profile(

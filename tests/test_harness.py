@@ -1,4 +1,5 @@
 import itertools
+import math
 from collections import Counter
 from types import SimpleNamespace
 
@@ -20,7 +21,7 @@ from senvr import (
     random_profile,
     run_harness,
 )
-from senvr.harness import CHUNK_PROFILES, VIOLATION_CAP
+from senvr.harness import CHUNK_PROFILES, VIOLATION_CAP, _weak_order_counts
 
 
 def oracle_rank_vectors(m):
@@ -49,10 +50,36 @@ def test_enumeration_matches_rank_vector_oracle(m):
 
 @pytest.mark.parametrize(
     "m, expected",
-    [(1, 1), (2, 3), (3, 13), (4, 75), (5, 541), (6, 4683), (7, 47293), (8, 545835)],
+    [
+        (0, 1), (1, 1), (2, 3), (3, 13), (4, 75),
+        (5, 541), (6, 4683), (7, 47293), (8, 545835),
+    ],
 )
 def test_count_weak_orders(m, expected):
     assert count_weak_orders(m) == expected
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_count_table_row_matches_enumerated_class_counts(m):
+    by_classes = Counter(o.num_classes for o in enumerate_weak_orders(m))
+    assert _weak_order_counts(m) == tuple(by_classes[k] for k in range(m + 1))
+
+
+def test_count_weak_orders_matches_the_fubini_recurrence():
+    # a(n) = sum over k >= 1 of C(n, k) a(n - k): choose the top class first
+    fubini = [1]
+    for n in range(1, 301):
+        fubini.append(sum(math.comb(n, k) * fubini[n - k] for k in range(1, n + 1)))
+    assert [count_weak_orders(m) for m in range(301)] == fubini
+
+
+def test_count_weak_orders_of_large_m_returns_a_number():
+    count = count_weak_orders(1200)
+    # a(n) ~ n! / (2 ln(2)^(n + 1)), with relative error far below 1e-12 here
+    expected_log10 = (
+        math.lgamma(1201) / math.log(10) - math.log10(2) - 1201 * math.log10(math.log(2))
+    )
+    assert math.log10(count) == pytest.approx(expected_log10, abs=1e-9)
 
 
 def test_enumeration_order_is_deterministic():

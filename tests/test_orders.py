@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from helpers import weak_orders, wo
 from senvr import (
     PartitionError,
     Profile,
@@ -17,17 +18,6 @@ from senvr import (
     restrict,
     triples,
 )
-
-
-def wo(*classes):
-    return WeakOrder(tuple(frozenset(c) for c in classes))
-
-
-@st.composite
-def weak_orders(draw, m):
-    # any label vector compresses to a unique weak order
-    labels = draw(st.lists(st.integers(0, m - 1), min_size=m, max_size=m))
-    return WeakOrder.from_ranks(labels)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +160,7 @@ def test_membership_matrix_equality_and_readonly():
 def test_membership_row_positions_round_trip():
     pm = preference_map(wo({2}, {0, 1}))
     mpm = membership_map(pm)
-    assert tuple(mpm.row_positions(i) for i in range(3)) == pm.rows
+    assert tuple(frozenset(np.flatnonzero(row) + 1) for row in mpm.entries) == pm.rows
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +290,7 @@ def test_pm_rows_equal_iff_tied(order):
 def test_mpm_round_trip(order):
     pm = preference_map(order)
     mpm = membership_map(pm)
-    assert tuple(mpm.row_positions(i) for i in range(5)) == pm.rows
+    assert tuple(frozenset(np.flatnonzero(row) + 1) for row in mpm.entries) == pm.rows
 
 
 @given(weak_orders(m=5), st.permutations(range(5)))

@@ -1,29 +1,8 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given
 
-from senvr import (
-    ParseError,
-    Profile,
-    WeakOrder,
-    default_alternative_names,
-    parse_profile,
-    serialize_profile,
-)
-
-
-def wo(*classes):
-    return WeakOrder(tuple(frozenset(c) for c in classes))
-
-
-@st.composite
-def profiles(draw, m_max=5, n_max=6):
-    m = draw(st.integers(2, m_max))
-    n = draw(st.integers(1, n_max))
-    voters = []
-    for _ in range(n):
-        labels = draw(st.lists(st.integers(0, m - 1), min_size=m, max_size=m))
-        voters.append(WeakOrder.from_ranks(labels))
-    return Profile(default_alternative_names(m), tuple(voters))
+from helpers import profiles, wo
+from senvr import ParseError, parse_profile, serialize_profile
 
 
 EXAMPLE1_TEXT = """\
