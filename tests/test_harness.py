@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import math
 from collections import Counter
 from types import SimpleNamespace
@@ -157,6 +159,30 @@ def test_random_profile_uniformity():
     tolerance = 3 * (10_000 * p * (1 - p)) ** 0.5
     for order in enumerate_weak_orders(3):
         assert abs(counts[order] - expected) <= tolerance
+
+
+@pytest.mark.parametrize(
+    "m, n, seed, digest",
+    [
+        (3, 5, 0, "55bce8e61df1c80a28a4492e7d8d7ed2694577b840ff0ad090add3f8755406f0"),
+        (3, 5, 7, "18faedfb91fcdfeb12350b47361c9f5975c21bd363ea77e744e54319c01daf6a"),
+        (3, 5, 2**64 - 1, "f794df13161fdb4ff3128c3ca705ec6c28a97e96c6c256361cd9ce84a0138c41"),
+        (5, 7, 0, "19ce63a139d06755c22ade83ea2ba13fd88f8c6f2588eaa651c17fd185f34a9a"),
+        (5, 7, 7, "8c895738d8eca701b35b53edf85e028747ebea7ed1e0d73500af76a4d381e7f0"),
+        (5, 7, 2**64 - 1, "3858e4da736bb18c6b9c5edec9ba47d72981ad035cacb8dfb6d6322309209262"),
+        (8, 4, 0, "b643cd57b957eb081224dbdd9a140b623b4a0f7d91ea88dd6012d0947e113e3c"),
+        (8, 4, 7, "553601d5d3c7d075e16a353178f83007ab1fe368cd2e6bed1b289e98aa9bbc4e"),
+        (8, 4, 2**64 - 1, "6b7475b2ab947ac0ace23c7380812b1bc79d5cdb6fd91e8a014dcd68d618d044"),
+    ],
+)
+def test_random_profile_draws_are_pinned(m, n, seed, digest):
+    # the sweep goldens pin only counts; this pins the profiles themselves,
+    # as the rank rows of trials 0..19
+    rows = [
+        [list(voter.ranks) for voter in random_profile(m, n, seed, trial).voters]
+        for trial in range(20)
+    ]
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(
