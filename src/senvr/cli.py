@@ -97,10 +97,10 @@ def _render_triple(triple: dict) -> list[str]:
     unions = triple["union_sets"]
     restricted = triple["value_restricted"]
     verdict = "value-restricted" if restricted else "not value-restricted"
-    count = len(triple["concerned"])
     lines = [
         f"triple ({', '.join(triple['members'])}): {verdict}; "
-        f"{count} concerned voters ({'odd' if count % 2 else 'even'})",
+        f"{len(triple['concerned'])} concerned voters "
+        f"({'odd' if triple['parity_ok'] else 'even'})",
         "  position unions: "
         + "; ".join(f"{name} {_format_set(union)}" for name, union in unions.items()),
     ]

@@ -232,7 +232,7 @@ _UNCONCERNED = 13
 _FIRST_TRIPLE = Triple((0, 1, 2))
 
 
-def _shape_codes(ranks: list[tuple[int, ...]], triple: Triple) -> list[int]:
+def _shape_codes(ranks: tuple[tuple[int, ...], ...], triple: Triple) -> list[int]:
     """Every voter's shape code on ``triple``, in voter order."""
     x, y, z = triple.members
     return [
@@ -258,7 +258,7 @@ def _shape_rows() -> tuple[tuple[int, ...] | None, ...]:
     """
     rows: list[tuple[int, ...] | None] = [None] * 27
     for ranks in itertools.product(range(3), repeat=3):
-        (code,) = _shape_codes([ranks], _FIRST_TRIPLE)
+        (code,) = _shape_codes((ranks,), _FIRST_TRIPLE)
         if rows[code] is not None:
             continue
         order = restrict(WeakOrder.from_ranks(ranks), _FIRST_TRIPLE)
@@ -309,9 +309,8 @@ def sen_condition(profile: Profile) -> SenVerdict:
     if profile.num_alternatives < 3:
         raise ValueError("the condition is defined for at least 3 alternatives")
     rows = _shape_rows()
-    ranks = [voter.ranks for voter in profile.voters]
     reports = tuple(
-        _triple_report(triple, _shape_codes(ranks, triple), rows)
+        _triple_report(triple, _shape_codes(profile.ranks, triple), rows)
         for triple in triples(profile.num_alternatives)
     )
     return SenVerdict(reports)

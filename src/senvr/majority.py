@@ -99,18 +99,18 @@ def _weak(prefer: np.ndarray) -> np.ndarray:
 
 
 def _broken(weak: np.ndarray) -> np.ndarray:
-    """Cells (a, c) with a R b and b R c for some b, yet not a R c."""
-    return (weak @ weak) & ~weak
+    """Cells (..., a, b, c) with a R b and b R c, yet not a R c."""
+    return weak[..., :, :, None] & weak[..., None, :, :] & ~weak[..., :, None, :]
 
 
 def transitive_mask(ranks: np.ndarray) -> np.ndarray:
     """Majority transitivity of every profile in a (profiles, voters, m) rank array."""
-    return ~_broken(_weak(_tallies(ranks))).any(axis=(-2, -1))
+    return ~_broken(_weak(_tallies(ranks))).any(axis=(-3, -2, -1))
 
 
 def pairwise_tallies(profile: Profile) -> PairwiseTally:
     """Count, for every ordered pair, the voters ranking the first strictly higher."""
-    return PairwiseTally(_tallies(np.array([voter.ranks for voter in profile.voters])))
+    return PairwiseTally(_tallies(np.array(profile.ranks)))
 
 
 def majority_relation(tally: PairwiseTally) -> SocialRelation:
@@ -126,8 +126,7 @@ def is_transitive(rel: SocialRelation) -> tuple[bool, tuple[int, int, int] | Non
     transitivity of the weak relation imply transitivity of strict
     preference and of indifference, so this single check suffices.
     """
-    weak = rel.weak
-    broken = np.argwhere(weak[:, :, None] & weak[None] & ~weak[:, None, :])
+    broken = np.argwhere(_broken(rel.weak))
     if not len(broken):
         return True, None
     return False, tuple(broken[0].tolist())

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -41,6 +41,8 @@ class WeakOrder:
     """Ordered partition of ``{0, ..., m-1}``, most preferred class first."""
 
     classes: tuple[frozenset[int], ...]
+    # class index of every alternative (0 = most preferred class)
+    ranks: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.classes:
@@ -63,7 +65,7 @@ class WeakOrder:
         for idx, cls in enumerate(self.classes):
             for alt in cls:
                 rank[alt] = idx
-        object.__setattr__(self, "_ranks", tuple(rank))
+        object.__setattr__(self, "ranks", tuple(rank))
 
     @classmethod
     def from_ranks(cls, ranks: Sequence[int]) -> WeakOrder:
@@ -83,11 +85,6 @@ class WeakOrder:
                 for value in sorted(set(ranks))
             )
         )
-
-    @property
-    def ranks(self) -> tuple[int, ...]:
-        """Class index of every alternative (0 = most preferred class)."""
-        return self._ranks  # type: ignore[attr-defined]
 
     @property
     def num_alternatives(self) -> int:
@@ -209,6 +206,8 @@ class Profile:
 
     alternative_names: tuple[str, ...]
     voters: tuple[WeakOrder, ...]
+    # the rank matrix: every voter's ranks, in voter order
+    ranks: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         m = len(self.alternative_names)
@@ -218,12 +217,10 @@ class Profile:
             raise ValueError("alternative names must be distinct")
         if not self.voters:
             raise ValueError("a profile needs at least one voter")
-        for i, voter in enumerate(self.voters):
-            if voter.num_alternatives != m:
-                raise ValueError(
-                    f"voter {i + 1} ranks {voter.num_alternatives} alternatives, "
-                    f"expected {m}"
-                )
+        object.__setattr__(self, "ranks", tuple(order.ranks for order in self.voters))
+        for i, row in enumerate(self.ranks):
+            if len(row) != m:
+                raise ValueError(f"voter {i + 1} ranks {len(row)} alternatives, expected {m}")
 
     @property
     def num_alternatives(self) -> int:

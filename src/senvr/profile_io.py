@@ -71,11 +71,14 @@ def _parse_ballot(rest: str, line: int, index: dict[str, int]) -> WeakOrder:
 
 
 def parse_profile(text: str) -> Profile:
-    """Parse profile text (UTF-8 string, LF or CRLF, an optional leading
-    byte-order mark) into a Profile."""
+    """Parse profile text (UTF-8 string, LF, CRLF or CR line ends, an
+    optional leading byte-order mark) into a Profile."""
     index: dict[str, int] | None = None  # name -> id, in declaration order
     voters: list[WeakOrder] = []
-    for lineno, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
+    # only these break lines: str.splitlines also breaks at form feed,
+    # U+2028 and other characters that may sit inside a comment
+    lines = re.split(r"\r\n?|\n", text.removeprefix("\ufeff"))
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

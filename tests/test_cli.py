@@ -313,6 +313,16 @@ def test_check_reports_parse_error_line(capsys, tmp_path):
     assert "line 2" in err
 
 
+def test_check_counts_lines_at_line_ends_only(capsys, tmp_path):
+    # a form feed or U+2028 neither starts a line nor ends a comment
+    bad = tmp_path / "bad.profile"
+    bad.write_text("# header\f\nalternatives: x y  # a\u2028b\nvoter: x > y!\n")
+    code, out, err = run_cli(capsys, "check", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: line 3: 'y!' is not a valid name")
+
+
 def test_check_rejects_two_alternatives(capsys, tmp_path):
     # the condition is about triples, so a two-alternative profile is an
     # out-of-range request rather than a vacuously satisfied condition
@@ -440,6 +450,23 @@ def test_verify_exhaustive_out_of_range_m_exits_2_with_the_range_message(capsys)
     assert code == 2
     assert out == ""
     assert err == "error: can enumerate weak orders for 1 <= m <= 5, got m=1200\n"
+
+
+@pytest.mark.parametrize(
+    "n, message",
+    [
+        ("7", "13^7 = 62748517 profiles exceed the budget of 10000000"),
+        ("4000", "13^4000 profiles exceed the budget of 10000000"),
+        ("1000000", "13^1000000 profiles exceed the budget of 10000000"),
+    ],
+)
+def test_verify_exhaustive_past_the_budget_exits_2_with_the_budget_message(
+    capsys, n, message
+):
+    code, out, err = run_cli(capsys, "verify", "--m", "3", "--n", n, "--exhaustive")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_verify_reports_violations_with_exit_4(capsys, monkeypatch):

@@ -125,6 +125,14 @@ def test_enumerate_profiles_guard_is_eager():
         enumerate_profiles(3, 7)
 
 
+@pytest.mark.parametrize("n, digits", [(3860, 4300), (3861, None)])
+def test_enumerate_profiles_prints_the_profile_count_up_to_4300_digits(n, digits):
+    with pytest.raises(RangeError, match=rf"^13\^{n}") as excinfo:
+        enumerate_profiles(3, n)
+    count = str(excinfo.value).partition(" = ")[2].partition(" ")[0]
+    assert len(count) == (digits or 0)
+
+
 def test_enumerate_profiles_checks_the_alternative_range_before_the_budget():
     # counting the weak orders of 1200 alternatives would recurse too deep
     message = r"^can enumerate weak orders for 1 <= m <= 5, got m=1200$"
@@ -147,6 +155,11 @@ def test_random_profile_varies_across_trials():
 def test_random_profile_range_guard():
     with pytest.raises(RangeError):
         random_profile(9, 1, seed=0, trial=0)
+
+
+def test_random_profile_rejects_no_voters():
+    with pytest.raises(ValueError, match=r"^a profile needs at least one voter$"):
+        random_profile(3, 0, seed=0, trial=0)
 
 
 def test_random_profile_uniformity():

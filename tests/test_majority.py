@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from helpers import profiles, wo
 from senvr import (
     CycleReport,
+    PairwiseTally,
     Profile,
     SocialRelation,
     WeakOrder,
@@ -15,6 +16,7 @@ from senvr import (
     pairwise_tallies,
     enumerate_profiles,
     random_profile,
+    sen_condition,
     social_ordering,
 )
 from senvr.harness import CHUNK_PROFILES
@@ -230,3 +232,23 @@ def test_transitive_mask_matches_reference_on_random_profiles(m, n):
     assert verdicts == [
         is_transitive(majority_relation(pairwise_tallies(p)))[0] for p in profiles
     ]
+
+
+def test_sen_theorem_holds_triple_by_triple():
+    # on every triple that is value-restricted with an odd concerned count,
+    # majority restricted to that triple is transitive, whether or not the
+    # condition holds on the other triples of the profile
+    checked = beyond_the_condition = 0
+    for trial in range(2_000):
+        profile = random_profile(5, 7, seed=0, trial=trial)
+        prefer = pairwise_tallies(profile).prefer
+        verdict = sen_condition(profile)
+        for report in verdict.per_triple:
+            if report.value_restricted and report.parity_ok:
+                t = list(report.triple)
+                sub = majority_relation(PairwiseTally(prefer[np.ix_(t, t)]))
+                assert is_transitive(sub) == (True, None), (trial, report.triple)
+                checked += 1
+                beyond_the_condition += not verdict.condition_holds
+    assert checked > 0
+    assert beyond_the_condition > 0

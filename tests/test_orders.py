@@ -30,6 +30,16 @@ def test_from_classes_strict_chain():
     assert order.ranks == (0, 1, 2)
 
 
+def test_ranks_is_derived_and_left_out_of_equality_and_repr():
+    order = wo({1}, {0, 2})
+    assert order.ranks == (1, 0, 1)
+    assert order == WeakOrder.from_ranks([5, 2, 5])
+    assert hash(order) == hash(WeakOrder.from_ranks([5, 2, 5]))
+    assert repr(order) == "WeakOrder(classes=(frozenset({1}), frozenset({0, 2})))"
+    with pytest.raises(TypeError):
+        WeakOrder(order.classes, ranks=order.ranks)
+
+
 def test_from_classes_total_indifference():
     order = wo({0, 1, 2})
     assert order.num_classes == 1
@@ -230,8 +240,14 @@ def test_profile_rejects_duplicate_names():
 
 
 def test_profile_rejects_voter_universe_mismatch():
-    with pytest.raises(ValueError):
-        Profile(("x", "y", "z"), (wo({0}, {1}),))
+    with pytest.raises(ValueError, match=r"^voter 2 ranks 2 alternatives, expected 3$"):
+        Profile(("x", "y", "z"), (wo({0}, {1}, {2}), wo({0}, {1})))
+
+
+def test_profile_ranks_is_the_rank_matrix_in_voter_order():
+    p = Profile(("x", "y", "z"), (wo({2}, {0, 1}), wo({0}, {1}, {2})))
+    assert p.ranks == ((1, 1, 0), (0, 1, 2))
+    assert "ranks" not in repr(p)
 
 
 def test_profile_rejects_empty_voter_list():

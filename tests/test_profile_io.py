@@ -46,6 +46,24 @@ def test_parse_accepts_crlf(example1):
     assert parse_profile(EXAMPLE1_TEXT.replace("\n", "\r\n")) == example1
 
 
+def test_parse_accepts_cr_only(example1):
+    assert parse_profile(EXAMPLE1_TEXT.replace("\n", "\r")) == example1
+
+
+# characters at which str.splitlines breaks a line, besides \n and \r
+@pytest.mark.parametrize(
+    "mark", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+)
+def test_only_lf_cr_and_crlf_break_lines(example1, mark):
+    commented = EXAMPLE1_TEXT.replace("x y z\n", f"x y z  # one{mark}comment\n", 1)
+    assert parse_profile(commented) == example1
+    # a mark ending line 1 starts no line of its own
+    bad = f"# header{mark}\nalternatives: x y\nvoter: x > y!\n"
+    with pytest.raises(ParseError, match="not a valid name") as excinfo:
+        parse_profile(bad)
+    assert excinfo.value.line == 3
+
+
 def test_parse_accepts_utf8_bom(example1):
     # editors on some platforms start UTF-8 files with a byte-order mark
     text = EXAMPLE1_TEXT.encode("utf-8-sig").decode("utf-8")
