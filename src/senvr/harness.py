@@ -116,8 +116,7 @@ def enumerate_profiles(m: int, n: int) -> Iterator[Profile]:
         raise ValueError("a profile needs at least one voter")
     orders = enumerate_weak_orders(m)
     base = len(orders)
-    # a power of over 4300 digits, Python's default limit for printing an
-    # int, is far past the budget and slow to build, so it is not built
+    # a power past 4300 digits, Python's default limit for printing an int, is not built
     if n * math.log10(base) >= 4300:
         raise RangeError(f"{base}^{n} profiles exceed the budget of {ENUMERATION_BUDGET}")
     total = base**n
