@@ -5,8 +5,11 @@ profiles) through the condition checkers and the majority rule, counts
 the joint outcomes, and collects any profile that satisfies the
 condition yet yields an intransitive social relation.  An empty
 violation list over a sweep is the empirical sufficiency evidence.
-Majority verdicts are decided per chunk of profiles, in one numpy pass
-over the chunk's rank array; the condition is decided per profile.
+Permuting voters changes neither verdict, so an exhaustive sweep
+decides each multiset of voters once and counts it by its number of
+orderings.  Majority verdicts are decided per chunk of profiles, in one
+numpy pass over the chunk's rank array; the condition is decided per
+profile.
 """
 
 from __future__ import annotations
@@ -104,12 +107,12 @@ def enumerate_weak_orders(m: int) -> tuple[WeakOrder, ...]:
     return tuple(sorted(orders, key=lambda order: (order.num_classes, order.ranks)))
 
 
-def enumerate_profiles(m: int, n: int) -> Iterator[Profile]:
-    """All n-voter profiles on m alternatives, lexicographic.
+def _profile_space(m: int, n: int) -> tuple[WeakOrder, ...]:
+    """The weak orders whose n-fold product an exhaustive sweep covers.
 
-    Voters run through ``enumerate_weak_orders(m)`` like digits, the
-    last voter fastest.  Raises RangeError before yielding anything if
-    m is outside ``enumerate_weak_orders``' range or the sweep would
+    The one home of the enumeration guards, checked before any profile
+    is built: ValueError if n < 1; RangeError if m is outside
+    ``enumerate_weak_orders``' range, then if the Wⁿ ordered profiles
     exceed the enumeration budget.
     """
     if n < 1:
@@ -124,11 +127,47 @@ def enumerate_profiles(m: int, n: int) -> Iterator[Profile]:
         raise RangeError(
             f"{base}^{n} = {total} profiles exceed the budget of {ENUMERATION_BUDGET}"
         )
+    return orders
+
+
+def enumerate_profiles(m: int, n: int) -> Iterator[Profile]:
+    """All n-voter profiles on m alternatives, lexicographic.
+
+    Voters run through ``enumerate_weak_orders(m)`` like digits, the
+    last voter fastest.  Raises RangeError before yielding anything if
+    m is outside ``enumerate_weak_orders``' range or the sweep would
+    exceed the enumeration budget.
+    """
+    orders = _profile_space(m, n)
     names = default_alternative_names(m)
 
     def stream() -> Iterator[Profile]:
         for voters in itertools.product(orders, repeat=n):
             yield Profile(names, voters)
+
+    return stream()
+
+
+def _enumerate_voter_multisets(m: int, n: int) -> Iterator[tuple[Profile, int]]:
+    """Each multiset of n voters on m alternatives once, with its orderings.
+
+    A multiset comes as the profile whose voters are in nondecreasing
+    ``enumerate_weak_orders(m)`` index, the first of its orderings in
+    ``enumerate_profiles(m, n)``; its weight is the multinomial
+    n! / (k₁! k₂! …) over the multiplicities kᵢ of its orders.  The
+    weights sum to Wⁿ.  Guarded like ``enumerate_profiles``, before the
+    first yield.
+    """
+    orders = _profile_space(m, n)
+    names = default_alternative_names(m)
+    orderings = math.factorial(n)
+
+    def stream() -> Iterator[tuple[Profile, int]]:
+        for picks in itertools.combinations_with_replacement(range(len(orders)), n):
+            repeats = math.prod(
+                math.factorial(len(list(run))) for _, run in itertools.groupby(picks)
+            )
+            yield Profile(names, tuple(orders[i] for i in picks)), orderings // repeats
 
     return stream()
 
@@ -186,6 +225,9 @@ def random_profile(m: int, n: int, seed: int, trial: int) -> Profile:
         raise RangeError(
             f"can sample weak orders for 1 <= m <= {MAX_SAMPLED_ALTERNATIVES}, got m={m}"
         )
+    # seed * 2**64 + trial names a stream only while both fit in 64 bits
+    if not (0 <= seed < 2**64 and 0 <= trial < 2**64):
+        raise ValueError("seed and trial must be 64-bit unsigned integers")
     rng = random.Random(seed * 2**64 + trial)
     return Profile(
         default_alternative_names(m),
@@ -239,39 +281,46 @@ class HarnessReport:
 def run_harness(config: HarnessConfig) -> HarnessReport:
     """Sweep profiles, cross-checking the condition against transitivity.
 
-    Every profile passes through the full condition decision and the
-    majority rule.
+    An exhaustive sweep decides each voter multiset once, on the profile
+    with its voters in nondecreasing order index, and adds the
+    multiset's number of orderings to every counter; a random sweep
+    decides and counts each drawn profile once.  Each decided profile
+    passes through the full condition decision and the majority rule.
     The stream is taken in chunks of ``CHUNK_PROFILES``: majority
     transitivity is decided for a whole chunk at once from its
     (profiles, voters, m) rank array, then the condition is decided and
     the outcomes counted profile by profile, in stream order.
+    ``violations`` holds the first violating profiles in stream order;
+    for an exhaustive sweep, the order of ``enumerate_profiles``.
     Raises InternalDisagreement if the three readings of a ballot shape
     ever split.
     """
     if config.mode is HarnessMode.EXHAUSTIVE:
-        stream = enumerate_profiles(config.m, config.n)
+        stream = _enumerate_voter_multisets(config.m, config.n)
     else:
         stream = (
-            random_profile(config.m, config.n, config.seed, trial)
+            (random_profile(config.m, config.n, config.seed, trial), 1)
             for trial in range(config.trials)
         )
     tested = held = held_transitive = failed = failed_transitive = 0
     violations: list[Profile] = []
     while chunk := list(itertools.islice(stream, CHUNK_PROFILES)):
-        transitive = transitive_mask(np.array([profile.ranks for profile in chunk]))
-        for profile, profile_transitive in zip(chunk, transitive.tolist()):
+        transitive = transitive_mask(np.array([profile.ranks for profile, _ in chunk]))
+        for (profile, weight), profile_transitive in zip(chunk, transitive.tolist()):
             verdict = sen_condition(profile)
-            tested += 1
+            tested += weight
             if verdict.condition_holds:
-                held += 1
+                held += weight
                 if profile_transitive:
-                    held_transitive += 1
+                    held_transitive += weight
                 elif len(violations) < VIOLATION_CAP:
                     violations.append(profile)
             else:
-                failed += 1
+                failed += weight
                 if profile_transitive:
-                    failed_transitive += 1
+                    failed_transitive += weight
+    if config.mode is HarnessMode.EXHAUSTIVE and violations:
+        violations = _orderings_of(violations, config.m, config.n)
     return HarnessReport(
         profiles_tested=tested,
         condition_held_count=held,
@@ -280,3 +329,24 @@ def run_harness(config: HarnessConfig) -> HarnessReport:
         condition_failed_but_transitive_count=failed_transitive,
         violations=tuple(violations),
     )
+
+
+def _orderings_of(representatives: list[Profile], m: int, n: int) -> list[Profile]:
+    """Up to ``VIOLATION_CAP`` orderings of the representatives' multisets.
+
+    They come in ``enumerate_profiles(m, n)`` order.
+
+    The sweep's first ``VIOLATION_CAP`` violating representatives
+    suffice.  Each is itself a violating profile, and no profile
+    precedes its own representative; so when the cap is reached, each
+    of the first ``VIOLATION_CAP`` violating profiles, and its
+    representative too, comes no later than the last one kept.
+    """
+    # sorted rank rows name a multiset, whatever order its voters come in
+    wanted = {tuple(sorted(profile.ranks)) for profile in representatives}
+    matches = (
+        profile
+        for profile in enumerate_profiles(m, n)
+        if tuple(sorted(profile.ranks)) in wanted
+    )
+    return list(itertools.islice(matches, VIOLATION_CAP))

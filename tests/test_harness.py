@@ -2,9 +2,11 @@ import hashlib
 import itertools
 import json
 import math
+import re
 from collections import Counter
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from senvr import (
@@ -22,8 +24,16 @@ from senvr import (
     pairwise_tallies,
     random_profile,
     run_harness,
+    sen_condition,
 )
-from senvr.harness import CHUNK_PROFILES, VIOLATION_CAP, _weak_order_counts
+from senvr.cli import main
+from senvr.harness import (
+    CHUNK_PROFILES,
+    VIOLATION_CAP,
+    _enumerate_voter_multisets,
+    _weak_order_counts,
+)
+from senvr.majority import transitive_mask
 
 
 def oracle_rank_vectors(m):
@@ -162,6 +172,17 @@ def test_random_profile_rejects_no_voters():
         random_profile(3, 0, seed=0, trial=0)
 
 
+@pytest.mark.parametrize("seed, trial", [(0, 2**64), (1, -1), (-1, 0), (2**64, 0)])
+def test_random_profile_rejects_a_seed_or_trial_outside_64_bits(seed, trial):
+    # seed * 2**64 + trial names the stream, so (0, 2**64) would draw
+    # (1, 0)'s profile, (1, -1) would draw (0, 2**64 - 1)'s, and (-1, 0)
+    # would draw (0, -2**64)'s
+    message = r"^seed and trial must be 64-bit unsigned integers$"
+    with pytest.raises(ValueError, match=message):
+        random_profile(5, 7, seed, trial)
+    random_profile(5, 7, 2**64 - 1, 2**64 - 1)
+
+
 def test_random_profile_uniformity():
     # pooled frequencies of the 13 orders stay within 3 standard deviations
     profile = random_profile(3, 10_000, seed=0, trial=0)
@@ -254,6 +275,155 @@ def test_violations_keep_stream_order_across_chunks(monkeypatch, chunk):
     assert report.violations == tuple(intransitive[:VIOLATION_CAP])
     assert report.condition_held_count == 2197
     assert report.condition_held_and_transitive_count == 1897
+
+
+def test_violations_list_the_orderings_of_a_violating_multiset(monkeypatch):
+    # the condition stubbed to hold on one intransitive multiset only, the
+    # voters of order index 0, 4 and 7: all six orderings are violations,
+    # in enumeration order, though the sweep decided the multiset once
+    orders = enumerate_weak_orders(3)
+    multiset = sorted(orders[i].ranks for i in (0, 4, 7))
+    monkeypatch.setattr(
+        "senvr.harness.sen_condition",
+        lambda profile: SimpleNamespace(condition_holds=sorted(profile.ranks) == multiset),
+    )
+    report = run_harness(HarnessConfig(m=3, n=3, mode=HarnessMode.EXHAUSTIVE))
+    names = default_alternative_names(3)
+    assert report.violations == tuple(
+        Profile(names, tuple(orders[i] for i in picks))
+        for picks in itertools.permutations((0, 4, 7))
+    )
+    assert report.condition_held_count == 6
+    assert report.condition_held_and_transitive_count == 0
+
+
+def test_violations_past_the_first_unsorted_profile_keep_stream_order(monkeypatch):
+    # with the condition stubbed to hold, the 13th intransitive profile,
+    # order indices (0, 7, 4), is the first whose voters are not sorted
+    monkeypatch.setattr("senvr.harness.VIOLATION_CAP", 25)
+    held = SimpleNamespace(condition_holds=True)
+    monkeypatch.setattr("senvr.harness.sen_condition", lambda profile: held)
+    report = run_harness(HarnessConfig(m=3, n=3, mode=HarnessMode.EXHAUSTIVE))
+    intransitive = [
+        profile
+        for profile in enumerate_profiles(3, 3)
+        if not is_transitive(majority_relation(pairwise_tallies(profile)))[0]
+    ]
+    assert report.violations == tuple(intransitive[:25])
+    orders = enumerate_weak_orders(3)
+    assert [orders.index(v) for v in report.violations[12].voters] == [0, 7, 4]
+
+
+def counts(report):
+    return (
+        report.profiles_tested,
+        report.condition_held_count,
+        report.condition_held_and_transitive_count,
+        report.condition_failed_count,
+        report.condition_failed_but_transitive_count,
+    )
+
+
+def brute_force_counts(m, n):
+    """The sweep counters, deciding every ordered profile on its own."""
+    tested = held = held_transitive = failed = failed_transitive = 0
+    for profile in enumerate_profiles(m, n):
+        transitive = is_transitive(majority_relation(pairwise_tallies(profile)))[0]
+        tested += 1
+        if sen_condition(profile).condition_holds:
+            held += 1
+            held_transitive += transitive
+        else:
+            failed += 1
+            failed_transitive += transitive
+    return tested, held, held_transitive, failed, failed_transitive
+
+
+@pytest.mark.parametrize("m, n", [(3, 1), (3, 2), (3, 3), (4, 1), (4, 2)])
+def test_exhaustive_sweep_equals_brute_force(m, n):
+    report = run_harness(HarnessConfig(m=m, n=n, mode=HarnessMode.EXHAUSTIVE))
+    assert counts(report) == brute_force_counts(m, n)
+    assert report.violations == ()
+
+
+@pytest.mark.parametrize(
+    "m, n, expected",
+    [
+        (3, 5, (371293, 109092, 109092, 262201, 210241)),
+        # from brute force, not from the multiset sweep: brute_force_counts(4, 3)
+        # decides each of the 75^3 ordered profiles on its own (about 30 s)
+        (4, 3, (421875, 185646, 185646, 236229, 95565)),
+    ],
+)
+def test_exhaustive_sweep_counts_are_pinned(m, n, expected):
+    report = run_harness(HarnessConfig(m=m, n=n, mode=HarnessMode.EXHAUSTIVE))
+    assert counts(report) == expected
+    assert report.violations == ()
+
+
+@pytest.mark.parametrize("m, n", [(3, 1), (3, 3), (3, 5), (4, 2), (5, 1)])
+def test_voter_multisets_come_once_weighted_by_their_orderings(m, n):
+    multisets = list(_enumerate_voter_multisets(m, n))
+    orders = enumerate_weak_orders(m)
+    w = len(orders)
+    assert len(multisets) == math.comb(w + n - 1, n)
+    assert sum(weight for _, weight in multisets) == w**n
+    for profile, _ in multisets:
+        picks = [orders.index(voter) for voter in profile.voters]
+        assert picks == sorted(picks)
+
+
+def test_voter_multiset_weights_count_the_ordered_profiles():
+    orderings = Counter(tuple(sorted(p.ranks)) for p in enumerate_profiles(3, 4))
+    weights = {tuple(sorted(p.ranks)): w for p, w in _enumerate_voter_multisets(3, 4)}
+    assert weights == orderings
+
+
+@pytest.mark.parametrize("m, n", [(3, 7), (4, 4), (6, 1), (1200, 1), (3, 4000), (3, 0)])
+def test_voter_multisets_are_refused_like_enumerate_profiles(m, n):
+    # neither stream is iterated: both refuse when called
+    with pytest.raises(ValueError) as expected:
+        enumerate_profiles(m, n)
+    with pytest.raises(type(expected.value), match=f"^{re.escape(str(expected.value))}$"):
+        _enumerate_voter_multisets(m, n)
+
+
+def test_verdicts_do_not_depend_on_voter_order():
+    # the premise of the multiset sweep, on every m=3, n=3 profile
+    representatives = {
+        tuple(sorted(p.ranks)): p for p, _ in _enumerate_voter_multisets(3, 3)
+    }
+    held = {key: sen_condition(p).condition_holds for key, p in representatives.items()}
+    profiles = list(enumerate_profiles(3, 3))
+    keys = [tuple(sorted(p.ranks)) for p in profiles]
+    assert [sen_condition(p).condition_holds for p in profiles] == [held[k] for k in keys]
+    ordered = transitive_mask(np.array([p.ranks for p in profiles]))
+    representative = transitive_mask(np.array([representatives[k].ranks for k in keys]))
+    assert ordered.tolist() == representative.tolist()
+
+
+@pytest.fixture
+def decided(monkeypatch):
+    """Every profile that run_harness passes to sen_condition, in call order."""
+    profiles = []
+
+    def counted(profile):
+        profiles.append(profile)
+        return sen_condition(profile)
+
+    monkeypatch.setattr("senvr.harness.sen_condition", counted)
+    return profiles
+
+
+def test_exhaustive_verify_decides_each_voter_multiset_once(decided, capsys):
+    assert main(["verify", "--exhaustive", "--m", "3", "--n", "3"]) == 0
+    assert "profiles tested: 2197\n" in capsys.readouterr().out
+    assert len(decided) == 455
+
+
+def test_random_sweep_decides_each_trial_once_in_stream_order(decided):
+    run_harness(HarnessConfig(m=5, n=7, mode=HarnessMode.RANDOM, trials=30, seed=42))
+    assert decided == [random_profile(5, 7, 42, trial) for trial in range(30)]
 
 
 def test_harness_random_is_reproducible():
