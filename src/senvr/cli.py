@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
+import math
 import os
 import sys
 from collections.abc import Sequence
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from senvr import __version__
@@ -42,7 +43,11 @@ from senvr.orders import (
 )
 from senvr.profile_io import ballot_groups, format_ballot, parse_profile, serialize_profile
 
-__all__ = ["main"]
+__all__ = ["MAX_VOTER_TRIPLES", "main"]
+
+# desk-scale guard for ``check``: the condition visits every voter on every
+# triple, C(m, 3) * n voter-triples, and the report lists each concerned one
+MAX_VOTER_TRIPLES = 10**7
 
 
 def _format_set(positions: Sequence[int]) -> str:
@@ -51,6 +56,48 @@ def _format_set(positions: Sequence[int]) -> str:
 
 def _read_profile(path: str) -> Profile:
     return parse_profile(Path(path).read_text(encoding="utf-8"))
+
+
+def _dump(value: object, indent: str = "\n") -> str:
+    """``value`` as ``json.dumps(value, indent=2)`` writes it.
+
+    Only the types a report holds are accepted: dict with str keys,
+    list, str, int, bool and None; anything else raises TypeError.
+    ``json.dumps`` falls back to its pure-Python encoder whenever an
+    indent is set; this writer escapes strings with the C encoder and
+    joins a list of plain ints in one step.  ``indent`` is the newline
+    and indentation that precede ``value``'s closing bracket.
+    """
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    inner = indent + "  "
+    if kind is list:
+        if not value:
+            return "[]"
+        if all(type(item) is int for item in value):
+            items = map(int.__repr__, value)
+        else:
+            items = (_dump(item, inner) for item in value)
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if kind is dict:
+        if not value:
+            return "{}"
+        # the C encoder raises TypeError on a key that is not a str
+        items = (
+            encode_basestring_ascii(key) + ": " + _dump(item, inner)
+            for key, item in value.items()
+        )
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    raise TypeError(f"{kind.__name__} is not a report value")
 
 
 # --- check -----------------------------------------------------------------
@@ -74,7 +121,7 @@ def _triple_payload(profile: Profile, report: TripleReport) -> dict:
         "union_sets": {
             name: sorted(union) for name, union in zip(members, report.row_unions)
         },
-        "sum_matrix": report.sum_matrix.tolist(),
+        "sum_matrix": [list(report.sums[i : i + 3]) for i in (0, 3, 6)],
         "eq_witness": (
             None if report.eq_witness is None else [c + 1 for c in report.eq_witness]
         ),
@@ -157,6 +204,13 @@ def _render_check(payload: dict, num_voters: int) -> str:
 
 def cmd_check(args: argparse.Namespace) -> int:
     profile = _read_profile(args.path)
+    m, n = profile.num_alternatives, profile.num_voters
+    voter_triples = math.comb(m, 3) * n
+    if voter_triples > MAX_VOTER_TRIPLES:
+        raise ValueError(
+            f"C({m},3)*{n} = {voter_triples} voter-triples exceed "
+            f"the limit of {MAX_VOTER_TRIPLES}"
+        )
     verdict = sen_condition(profile)
     tally = pairwise_tallies(profile)
     payload = {
@@ -167,7 +221,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         "social": _social_payload(profile, social_ordering(majority_relation(tally))),
     }
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(_dump(payload))
     else:
         print(_render_check(payload, profile.num_voters))
     if args.assert_sen and not verdict.condition_holds:
@@ -226,7 +280,7 @@ def cmd_pm(args: argparse.Namespace) -> int:
         "triple": None if triple is None else local_names,
         "voters": voters,
     }
-    print(json.dumps(payload, indent=2) if args.json else _render_pm(payload))
+    print(_dump(payload) if args.json else _render_pm(payload))
     return 0
 
 
@@ -252,7 +306,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         **{f.name: getattr(report, f.name) for f in dataclasses.fields(report)},
     }
     payload["violations"] = [serialize_profile(p) for p in report.violations]
-    print(json.dumps(payload, indent=2) if args.json else _render_verify(payload))
+    print(_dump(payload) if args.json else _render_verify(payload))
     return 0 if not report.violations else 4
 
 

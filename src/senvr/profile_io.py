@@ -20,6 +20,7 @@ from senvr.orders import Profile, WeakOrder
 __all__ = ["ParseError", "parse_profile", "serialize_profile"]
 
 _NAME_RE = re.compile(r"[A-Za-z0-9_]+\Z")
+_TIE_RE = re.compile(r"[~=]")
 
 
 class ParseError(ValueError):
@@ -50,14 +51,15 @@ def _parse_ballot(rest: str, line: int, index: dict[str, int]) -> WeakOrder:
     classes = []
     seen: set[str] = set()
     for group in rest.split(">"):
-        tokens = [t.strip() for t in re.split(r"[~=]", group)]
+        tokens = [t.strip() for t in _TIE_RE.split(group)]
         if "" in tokens:
             empty = "group" if tokens == [""] else "name beside a tie mark"
             raise ParseError(line, f"empty {empty} in ballot")
         members = set()
-        for token in tokens:
-            name = _checked_name(token, line)
+        for name in tokens:
+            # a declared name was checked when it was declared
             if name not in index:
+                _checked_name(name, line)
                 raise ParseError(line, f"unknown alternative {name!r}")
             if name in seen:
                 raise ParseError(line, f"{name!r} appears more than once in this ballot")

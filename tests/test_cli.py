@@ -334,6 +334,37 @@ def test_check_rejects_two_alternatives(capsys, tmp_path):
     assert err == "error: the condition is defined for at least 3 alternatives\n"
 
 
+def test_check_refuses_too_many_voter_triples_before_deciding_any(
+    capsys, tmp_path, monkeypatch
+):
+    # C(400, 3) = 10,586,800 voter-triples from a single voter
+    names = [f"a{i}" for i in range(400)]
+    wide = tmp_path / "wide.profile"
+    wide.write_text(f"alternatives: {' '.join(names)}\nvoter: {' > '.join(names)}\n")
+
+    def decided(profile):
+        raise AssertionError("a triple was decided")
+
+    monkeypatch.setattr("senvr.cli.sen_condition", decided)
+    code, out, err = run_cli(capsys, "check", str(wide), "--json")
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: C(400,3)*1 = 10586800 voter-triples exceed the limit of 10000000\n"
+    )
+
+
+@pytest.mark.parametrize("limit, status", [(20, 0), (19, 2)])
+def test_check_voter_triple_limit_is_inclusive(capsys, monkeypatch, limit, status):
+    # example2 has C(4, 3) * 5 = 20 voter-triples
+    monkeypatch.setattr("senvr.cli.MAX_VOTER_TRIPLES", limit)
+    code, out, err = run_cli(capsys, "check", EXAMPLE2)
+    assert code == status
+    if status:
+        assert out == ""
+        assert err == f"error: C(4,3)*5 = 20 voter-triples exceed the limit of {limit}\n"
+
+
 def test_pm_example1_json(capsys):
     code, out, _ = run_cli(capsys, "pm", EXAMPLE1, "--json")
     assert code == 0

@@ -1,0 +1,70 @@
+"""``cli._dump`` writes exactly what ``json.dumps(value, indent=2)`` writes.
+
+The writer accepts only the types a report holds (dict with str keys,
+list, str, int, bool, None), so the property is checked over recursive
+values built from those, with the strings, ints and empty containers on
+which an encoder is most likely to slip.
+"""
+
+import json
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from senvr.cli import _dump
+
+# every code point, lone surrogates included, plus the characters JSON escapes
+CHARACTERS = st.characters(blacklist_categories=()) | st.sampled_from(
+    ['"', "\\", "\x00", "\x08", "\n", "\x1f", "\x7f", " ", "\ud800", "\udfff", "é"]
+)
+TEXT = st.text(CHARACTERS, max_size=12)
+INTS = (
+    st.integers()
+    | st.integers(max_value=-(2**64))
+    | st.integers(min_value=2**64)
+)
+SCALARS = st.none() | st.booleans() | INTS | TEXT
+VALUES = st.recursive(
+    SCALARS,
+    lambda children: (
+        st.lists(children, max_size=5)
+        | st.lists(INTS, max_size=5)
+        | st.dictionaries(TEXT, children, max_size=5)
+    ),
+    max_leaves=40,
+)
+
+
+@given(VALUES)
+def test_dump_matches_json_dumps_indent_2(value):
+    assert _dump(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        # True is an int whose int.__repr__ is "1": a list holding a bool
+        # must not take the plain-int path
+        [1, True],
+        [True],
+        [0, False, None],
+        {"a": [0, False]},
+        [],
+        {},
+        [[], {}, [[]]],
+        {"": {"": []}},
+        [2**64, -(2**64), -1, 0],
+        ["\ud800", '"\\', "\x00\x1f\x7f", "é中\U0001f600"],
+    ],
+)
+def test_dump_matches_json_dumps_on_edge_cases(value):
+    assert _dump(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value", [1.5, [1, 2.0], (1, 2), {"a": (1,)}, {1: "a"}, {None: 1}, b"x"]
+)
+def test_dump_rejects_what_no_report_holds(value):
+    with pytest.raises(TypeError):
+        _dump(value)

@@ -113,6 +113,42 @@ def test_parse_errors(text, lineno, reason):
         assert f"line {lineno}" in str(excinfo.value)
 
 
+@pytest.mark.parametrize(
+    "ballot, message",
+    [
+        ("x! > y", "'x!' is not a valid name (use A-Z, a-z, 0-9, _)"),
+        ("x > y ~ z%", "'z%' is not a valid name (use A-Z, a-z, 0-9, _)"),
+        ("x > q > y", "unknown alternative 'q'"),
+        ("x > y ~ x", "'x' appears more than once in this ballot"),
+        ("z", "ballot is missing 'x', 'y'"),
+        ("x > > y > z", "empty group in ballot"),
+        ("", "empty group in ballot"),
+        ("x ~ ~ y > z", "empty name beside a tie mark in ballot"),
+        ("= x > y > z", "empty name beside a tie mark in ballot"),
+        # tokens are checked left to right, each for validity, then for
+        # being declared, then for being new to the ballot
+        ("q > x!", "unknown alternative 'q'"),
+        ("x > x!", "'x!' is not a valid name (use A-Z, a-z, 0-9, _)"),
+        ("x > x > q", "'x' appears more than once in this ballot"),
+        ("q > x ~", "unknown alternative 'q'"),
+        # an empty token is found before any name in its group is checked
+        ("x! ~ ~ y", "empty name beside a tie mark in ballot"),
+    ],
+)
+def test_ballot_error_messages(ballot, message):
+    with pytest.raises(ParseError) as excinfo:
+        parse_profile(f"alternatives: x y z\nvoter: {ballot}\n")
+    assert str(excinfo.value) == f"line 2: {message}"
+
+
+def test_invalid_undeclared_token_is_reported_as_invalid():
+    # a token outside the declaration that is not a name at all is
+    # reported as invalid, not as an unknown alternative
+    with pytest.raises(ParseError) as excinfo:
+        parse_profile("alternatives: x y\nvoter: x > y ~ x!\n")
+    assert str(excinfo.value) == "line 2: 'x!' is not a valid name (use A-Z, a-z, 0-9, _)"
+
+
 def test_serialize_canonical_form(example1):
     assert serialize_profile(example1) == EXAMPLE1_TEXT
 
