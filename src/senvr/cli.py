@@ -43,11 +43,14 @@ from senvr.orders import (
 )
 from senvr.profile_io import ballot_groups, format_ballot, parse_profile, serialize_profile
 
-__all__ = ["MAX_VOTER_TRIPLES", "main"]
+__all__ = ["MAX_TRIPLES", "MAX_VOTER_TRIPLES", "main"]
 
-# desk-scale guard for ``check``: the condition visits every voter on every
-# triple, C(m, 3) * n voter-triples, and the report lists each concerned one
+# desk-scale guards for ``check``: the condition visits every voter on every
+# triple, C(m, 3) * n voter-triples, and the report lists each concerned one;
+# each of the C(m, 3) triples also costs a report entry of a few kilobytes
+# of JSON, whatever the number of voters
 MAX_VOTER_TRIPLES = 10**7
+MAX_TRIPLES = 10**5
 
 
 def _format_set(positions: Sequence[int]) -> str:
@@ -205,12 +208,14 @@ def _render_check(payload: dict, num_voters: int) -> str:
 def cmd_check(args: argparse.Namespace) -> int:
     profile = _read_profile(args.path)
     m, n = profile.num_alternatives, profile.num_voters
-    voter_triples = math.comb(m, 3) * n
-    if voter_triples > MAX_VOTER_TRIPLES:
+    num_triples = math.comb(m, 3)
+    if num_triples * n > MAX_VOTER_TRIPLES:
         raise ValueError(
-            f"C({m},3)*{n} = {voter_triples} voter-triples exceed "
+            f"C({m},3)*{n} = {num_triples * n} voter-triples exceed "
             f"the limit of {MAX_VOTER_TRIPLES}"
         )
+    if num_triples > MAX_TRIPLES:
+        raise ValueError(f"C({m},3) = {num_triples} triples exceed the limit of {MAX_TRIPLES}")
     verdict = sen_condition(profile)
     tally = pairwise_tallies(profile)
     payload = {

@@ -24,6 +24,12 @@ each shape.  Its table of shape rows is built once, from the 13 orders
 over a triple read through the reference representations, and each
 shape's three readings are compared there, so they cannot split on any
 triple; a triple then costs one count per shape that occurs.
+A profile of at least ``ARRAY_MIN_VOTER_TRIPLES`` voter-triples is
+decided over its rank matrix, a block of triples at a time: one
+``bincount`` counts every triple's shape codes and one product with a
+27 x 9 table turns the counts into sums.  Smaller profiles, such as an
+exhaustive sweep's, keep the per-triple loop, which is cheaper than
+NumPy's fixed cost per call there.
 A :class:`TripleReport` stores only the triple, the concerned voters and
 the nine sums; every verdict, witness and union is a reading of the sums.
 """
@@ -32,6 +38,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -297,20 +304,90 @@ def _triple_report(
     return TripleReport(triple, concerned, tuple(sums))
 
 
+# Profiles with at least this many voter-triples, C(m, 3) * n, are decided
+# by the array pass.  Its fixed cost, some 25-40 us of NumPy calls, exceeds
+# the whole per-triple loop below this size: the two break even at about
+# 36 voter-triples for m >= 4 and about 64 for m = 3.  Exhaustive sweeps
+# decide many profiles of 3 voter-triples each, so they stay on the loop.
+ARRAY_MIN_VOTER_TRIPLES = 64
+
+# The array pass works on blocks of triples with about this many cells in
+# its largest arrays, voters x triples shape codes and triples x 27 counts
+# (one triple at least), so its working arrays stay small however wide or
+# tall the profile is.
+_BLOCK_CELLS = 1 << 13
+
+
+@lru_cache(maxsize=None)
+def _shape_table(rows: tuple[tuple[int, ...] | None, ...]) -> np.ndarray:
+    """The 27 x 9 matrix that turns a triple's shape counts into its sums.
+
+    Row ``code`` is 1 on the membership cells of that shape.  The row of
+    total indifference (13) is zero, because unconcerned voters add
+    nothing to the sums, and so are the 14 rows of codes no order has.
+    Cached by the value of ``rows``, so it follows :func:`_shape_rows`
+    when that is rebuilt.
+    """
+    table = np.zeros((27, 9), dtype=np.int64)
+    for code, cells in enumerate(rows):
+        if cells is not None and code != _UNCONCERNED:
+            table[code, list(cells)] = 1
+    table.setflags(write=False)
+    return table
+
+
+def _array_reports(
+    profile: Profile, rows: tuple[tuple[int, ...] | None, ...]
+) -> tuple[TripleReport, ...]:
+    """Decide every triple by counting shape codes over the rank matrix.
+
+    Per block of triples, the voters x triples shape codes are counted
+    in one ``bincount`` over codes offset by 27 per triple, and the
+    counts times :func:`_shape_table` give the sums.
+    """
+    table = _shape_table(rows)
+    n = profile.num_voters
+    ranks = np.array(profile.ranks).T  # alternatives x voters
+    everyone = tuple(range(n))
+    size = max(1, _BLOCK_CELLS // max(n, 27))
+    remaining = triples(profile.num_alternatives)
+    reports: list[TripleReport] = []
+    while block := list(itertools.islice(remaining, size)):
+        # a, b, c: the members' ranks, triples x voters each
+        a, b, c = ranks[np.array([triple.members for triple in block]).T]
+        codes = 9 * np.sign(a - b) + 3 * np.sign(b - c) + np.sign(a - c) + _UNCONCERNED
+        offsets = np.arange(0, 27 * len(block), 27)[:, None]
+        counts = np.bincount((codes + offsets).ravel(), minlength=27 * len(block))
+        counts = counts.reshape(len(block), 27)
+        sums = (counts @ table).tolist()
+        unconcerned = counts[:, _UNCONCERNED].tolist()
+        for triple, voters, row, skipped in zip(block, codes, sums, unconcerned):
+            concerned = everyone
+            if skipped:
+                concerned = tuple(itertools.compress(everyone, (voters != _UNCONCERNED).tolist()))
+            reports.append(TripleReport(triple, concerned, tuple(row)))
+    return tuple(reports)
+
+
 def sen_condition(profile: Profile) -> SenVerdict:
     """Check value restriction and concerned-count parity on every triple.
 
-    Each triple is decided in one pass over its voters' shape codes: the
-    concerned voters of each shape add that shape's membership cells from
-    :func:`_shape_rows`, whose union, membership and qualitative readings
-    were compared when it was built.  The condition holds iff every triple
-    is value-restricted and has an odd number of concerned voters.
+    Each triple's concerned voters of each shape add that shape's
+    membership cells from :func:`_shape_rows`, whose union, membership and
+    qualitative readings were compared when it was built.  A profile of at
+    least ``ARRAY_MIN_VOTER_TRIPLES`` voter-triples is decided a block of
+    triples at a time over its rank matrix; a smaller one, triple by
+    triple, in one pass over its voters' shape codes.  The condition
+    holds iff every triple is value-restricted and has an odd number of
+    concerned voters.
     """
-    if profile.num_alternatives < 3:
+    m = profile.num_alternatives
+    if m < 3:
         raise ValueError("the condition is defined for at least 3 alternatives")
     rows = _shape_rows()
-    reports = tuple(
-        _triple_report(triple, _shape_codes(profile.ranks, triple), rows)
-        for triple in triples(profile.num_alternatives)
+    ranks = profile.ranks
+    if len(ranks) * math.comb(m, 3) >= ARRAY_MIN_VOTER_TRIPLES:
+        return SenVerdict(_array_reports(profile, rows))
+    return SenVerdict(
+        tuple(_triple_report(triple, _shape_codes(ranks, triple), rows) for triple in triples(m))
     )
-    return SenVerdict(reports)

@@ -365,6 +365,34 @@ def test_check_voter_triple_limit_is_inclusive(capsys, monkeypatch, limit, statu
         assert err == f"error: C(4,3)*5 = 20 voter-triples exceed the limit of {limit}\n"
 
 
+def test_check_refuses_too_many_triples_before_deciding_any(capsys, tmp_path, monkeypatch):
+    # C(86, 3) = 102,340 triples from a single voter: under the voter-triple
+    # limit, over the triple limit
+    names = [f"a{i}" for i in range(86)]
+    wide = tmp_path / "wide.profile"
+    wide.write_text(f"alternatives: {' '.join(names)}\nvoter: {' > '.join(names)}\n")
+
+    def decided(profile):
+        raise AssertionError("a triple was decided")
+
+    monkeypatch.setattr("senvr.cli.sen_condition", decided)
+    code, out, err = run_cli(capsys, "check", str(wide), "--json")
+    assert code == 2
+    assert out == ""
+    assert err == "error: C(86,3) = 102340 triples exceed the limit of 100000\n"
+
+
+@pytest.mark.parametrize("limit, status", [(4, 0), (3, 2)])
+def test_check_triple_limit_is_inclusive(capsys, monkeypatch, limit, status):
+    # example2 has C(4, 3) = 4 triples
+    monkeypatch.setattr("senvr.cli.MAX_TRIPLES", limit)
+    code, out, err = run_cli(capsys, "check", EXAMPLE2)
+    assert code == status
+    if status:
+        assert out == ""
+        assert err == f"error: C(4,3) = 4 triples exceed the limit of {limit}\n"
+
+
 def test_pm_example1_json(capsys):
     code, out, _ = run_cli(capsys, "pm", EXAMPLE1, "--json")
     assert code == 0

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 from pathlib import Path
 
 import numpy as np
@@ -17,10 +18,12 @@ from senvr import (
     Triple,
     TripleReport,
     ValueLabel,
+    WeakOrder,
     check_membership_equation,
     check_union_inequality,
     check_value_restriction_oracle,
     concerned_set,
+    default_alternative_names,
     membership_map,
     parse_profile,
     preference_map,
@@ -348,6 +351,7 @@ def test_every_shape_subset_matches_the_reference_checkers():
     assert len(shapes) == 12
     indifferent = wo({0, 1, 2})
     names = ("x", "y", "z")
+    rows = senvr.condition._shape_rows()
     restricted = 0
     for mask in range(1 << len(shapes)):
         chosen = [s for i, s in enumerate(shapes) if mask >> i & 1]
@@ -356,6 +360,7 @@ def test_every_shape_subset_matches_the_reference_checkers():
         profile = Profile(names, (*chosen[:half], indifferent, *chosen[half:]))
         verdict = sen_condition(profile)
         (report,) = verdict.per_triple
+        assert_same_reports(senvr.condition._array_reports(profile, rows), verdict.per_triple)
         assert report.triple == T012
         concerned = tuple(sorted(concerned_set(profile, T012)))
         assert report.concerned == concerned
@@ -473,3 +478,105 @@ def test_reports_store_only_the_triple_the_concerned_voters_and_the_sums():
         "sums",
     ]
     assert [f.name for f in dataclasses.fields(SenVerdict)] == ["per_triple"]
+
+
+# ---------------------------------------------------------------------------
+# the array pass against the per-triple loop
+
+
+def assert_same_reports(got, expected):
+    assert [r.triple for r in got] == [r.triple for r in expected]
+    assert [r.concerned for r in got] == [r.concerned for r in expected]
+    assert [r.sums for r in got] == [r.sums for r in expected]
+    # the JSON writer accepts plain ints only
+    assert {type(v) for r in got for v in (*r.concerned, *r.sums)} <= {int}
+
+
+def both_paths(profile):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(senvr.condition, "ARRAY_MIN_VOTER_TRIPLES", math.inf)
+        by_loop = sen_condition(profile).per_triple
+    return senvr.condition._array_reports(profile, senvr.condition._shape_rows()), by_loop
+
+
+def seeded_rank_profile(rng, m, n):
+    # each ballot draws levels from 0..k-1 for a random k, so alternatives
+    # often tie, and some voters are indifferent between everything
+    ballots = []
+    for _ in range(n):
+        levels = rng.integers(0, rng.integers(1, m + 1), size=m)
+        if rng.random() < 0.15:
+            levels[:] = 0
+        ballots.append(WeakOrder.from_ranks(levels.tolist()))
+    return Profile(default_alternative_names(m), tuple(ballots))
+
+
+def test_array_pass_matches_the_loop_on_seeded_profiles():
+    rng = np.random.default_rng(2022)
+    sizes = [(m, n) for m in range(3, 13) for n in (1, 2, 3, 7, 16, 40)]
+    for m, n in sizes:
+        profile = seeded_rank_profile(rng, m, n)
+        assert_same_reports(*both_paths(profile))
+    everyone_indifferent = Profile(default_alternative_names(12), (wo(set(range(12))),) * 40)
+    got, expected = both_paths(everyone_indifferent)
+    assert_same_reports(got, expected)
+    assert {r.concerned for r in got} == {()}
+    assert {r.sums for r in got} == {(0,) * 9}
+
+
+@given(profiles(m_min=3, m_max=12, n_max=40))
+def test_array_pass_matches_the_loop(profile):
+    assert_same_reports(*both_paths(profile))
+
+
+@pytest.mark.parametrize("cells", [1, 100, 1000, 10**6])
+def test_array_pass_blocks_do_not_change_the_reports(monkeypatch, cells):
+    # 84 triples in blocks of 1, 3, 37 (the last one short) and 84 triples
+    profile = seeded_rank_profile(np.random.default_rng(cells), 9, 11)
+    monkeypatch.setattr(senvr.condition, "_BLOCK_CELLS", cells)
+    assert_same_reports(*both_paths(profile))
+
+
+def test_array_pass_shares_one_concerned_tuple_when_nobody_is_unconcerned():
+    profile = Profile(default_alternative_names(5), (wo({0}, {1}, {2}, {3}, {4}),) * 3)
+    got, _ = both_paths(profile)
+    assert len({id(r.concerned) for r in got}) == 1
+    assert got[0].concerned == (0, 1, 2)
+
+
+def test_shape_table_is_the_shape_rows_with_the_unconcerned_row_zero():
+    rows = senvr.condition._shape_rows()
+    table = senvr.condition._shape_table(rows)
+    assert table.shape == (27, 9)
+    assert not table.flags.writeable
+    unused = [code for code, cells in enumerate(rows) if cells is None]
+    assert len(unused) == 14
+    for code, cells in enumerate(rows):
+        if cells is None or code == 13:
+            assert not table[code].any()
+        else:
+            assert np.flatnonzero(table[code]).tolist() == list(cells)
+            assert set(table[code].tolist()) == {0, 1}
+    # total indifference admits every cell; the table must not count it
+    assert rows[13] == tuple(range(9))
+
+
+@pytest.mark.parametrize("n, path", [(63, "_triple_report"), (64, "_array_reports")])
+def test_sen_condition_takes_the_array_pass_from_the_threshold_on(monkeypatch, n, path):
+    # C(3, 3) * n voter-triples, one below and at the threshold; the loop
+    # decides each triple with _triple_report
+    monkeypatch.setattr(senvr.condition, "ARRAY_MIN_VOTER_TRIPLES", 64)
+    taken = []
+    for name in ("_triple_report", "_array_reports"):
+        real = getattr(senvr.condition, name)
+
+        def spy(*args, name=name, real=real):
+            taken.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(senvr.condition, name, spy)
+    profile = Profile(("x", "y", "z"), (wo({0}, {1, 2}),) * n)
+    (report,) = sen_condition(profile).per_triple
+    assert taken == [path]
+    assert report.concerned == tuple(range(n))
+    assert report.sums == (n, 0, 0, 0, n, n, 0, n, n)

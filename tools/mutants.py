@@ -1,0 +1,204 @@
+"""Mutation check: each listed mutant of ``src/`` must fail the tests named for it.
+
+A mutant is one exact text edit to one file under ``src/``.  For each
+entry the script copies the repository's ``src/``, ``tests/``, ``bench/``,
+``profiles/``, ``demos/`` and ``pyproject.toml`` to a temporary directory,
+applies the edit to the copy of ``src/``, and runs the entry's tests
+there with pytest.  The mutant is killed when pytest reports a failure or
+an error.  The unmutated copy must pass every listed test first, or the
+check means nothing.  The repository itself is never edited.
+
+    python3 tools/mutants.py            # every mutant; exit 1 if one survives
+    python3 tools/mutants.py --list     # names only
+    python3 tools/mutants.py sign-flip threshold-strict
+
+It is not part of tier-1: the whole list takes about a minute on 2 cores.
+"""
+
+from __future__ import annotations
+
+import argparse
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "bench", "profiles", "demos", "pyproject.toml")
+
+CONDITION = "src/senvr/condition.py"
+MAJORITY = "src/senvr/majority.py"
+HARNESS = "src/senvr/harness.py"
+
+T_COND = "tests/test_condition.py::"
+SEEDED_PARITY = T_COND + "test_array_pass_matches_the_loop_on_seeded_profiles"
+LARGE_GOLDEN = "tests/test_golden.py::test_check_large_output_matches_golden_digest"
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+MUTANTS = (
+    Mutant(
+        "table-row-13-nonzero",
+        CONDITION,
+        "if cells is not None and code != _UNCONCERNED:",
+        "if cells is not None:",
+        (T_COND + "test_shape_table_is_the_shape_rows_with_the_unconcerned_row_zero",),
+    ),
+    Mutant(
+        "code-offset-14",
+        CONDITION,
+        "+ np.sign(a - c) + _UNCONCERNED",
+        "+ np.sign(a - c) + _UNCONCERNED + 1",
+        (SEEDED_PARITY, LARGE_GOLDEN),
+    ),
+    Mutant(
+        "triple-offsets-reversed",
+        CONDITION,
+        "offsets = np.arange(0, 27 * len(block), 27)[:, None]",
+        "offsets = np.arange(27 * len(block) - 27, -1, -27)[:, None]",
+        (SEEDED_PARITY, LARGE_GOLDEN),
+    ),
+    Mutant(
+        "sign-flip",
+        CONDITION,
+        "9 * np.sign(a - b)",
+        "9 * np.sign(b - a)",
+        (SEEDED_PARITY, LARGE_GOLDEN),
+    ),
+    Mutant(
+        "shared-concerned-inverted",
+        CONDITION,
+        "            if skipped:\n",
+        "            if not skipped:\n",
+        (SEEDED_PARITY,),
+    ),
+    Mutant(
+        "threshold-strict",
+        CONDITION,
+        ">= ARRAY_MIN_VOTER_TRIPLES:",
+        "> ARRAY_MIN_VOTER_TRIPLES:",
+        (T_COND + "test_sen_condition_takes_the_array_pass_from_the_threshold_on",),
+    ),
+    Mutant(
+        "parity-even",
+        CONDITION,
+        "return len(self.concerned) % 2 == 1",
+        "return len(self.concerned) % 2 == 0",
+        (T_COND + "test_sen_condition_example1_fails_on_parity",),
+    ),
+    Mutant(
+        "majority-strict",
+        MAJORITY,
+        "return prefer >= np.swapaxes(prefer, -1, -2)",
+        "return prefer > np.swapaxes(prefer, -1, -2)",
+        ("tests/test_majority.py::test_relation_example2",),
+    ),
+    Mutant(
+        "broken-without-negation",
+        MAJORITY,
+        "& ~weak[..., :, None, :]",
+        "& weak[..., :, None, :]",
+        ("tests/test_majority.py::test_relation_condorcet_cycles",),
+    ),
+    Mutant(
+        "multiset-weight-1",
+        HARNESS,
+        "yield Profile(names, tuple(orders[i] for i in picks)), orderings // repeats",
+        "yield Profile(names, tuple(orders[i] for i in picks)), 1",
+        ("tests/test_harness.py::test_exhaustive_sweep_counts_are_pinned",),
+    ),
+    Mutant(
+        "orderings-bypassed",
+        HARNESS,
+        "violations = _orderings_of(violations, config.m, config.n)",
+        "violations = violations",
+        ("tests/test_harness.py::test_violations_list_the_orderings_of_a_violating_multiset",),
+    ),
+    Mutant(
+        "sampler-uniform-class-counts",
+        HARNESS,
+        "weights=_weak_order_counts(m)",
+        "weights=[0] + [1] * m",
+        ("tests/test_harness.py::test_random_profile_draws_are_pinned",),
+    ),
+)
+
+
+def run_tests(workdir: Path, tests: tuple[str, ...]) -> int:
+    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    result = subprocess.run(command, cwd=workdir, capture_output=True, text=True)
+    if result.returncode not in (0, 1, 2):
+        # 4: usage error, 5: nothing collected; a misnamed test is no kill
+        raise SystemExit(f"pytest exited {result.returncode} on {tests}:\n{result.stdout}")
+    return result.returncode
+
+
+def fresh_src(workdir: Path) -> None:
+    shutil.rmtree(workdir / "src", ignore_errors=True)
+    shutil.copytree(ROOT / "src", workdir / "src", ignore=shutil.ignore_patterns("__pycache__"))
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
+    parser.add_argument("--list", action="store_true", help="print the mutant names and exit")
+    args = parser.parse_args(argv)
+    if args.list:
+        print("\n".join(m.name for m in MUTANTS))
+        return 0
+    known = {m.name for m in MUTANTS}
+    unknown = [name for name in args.names if name not in known]
+    if unknown:
+        parser.error(f"unknown mutants: {', '.join(unknown)}")
+    chosen = [m for m in MUTANTS if not args.names or m.name in args.names]
+
+    for mutant in chosen:
+        count = (ROOT / mutant.path).read_text(encoding="utf-8").count(mutant.old)
+        if count != 1:
+            raise SystemExit(f"{mutant.name}: old text occurs {count} times in {mutant.path}")
+
+    survivors = []
+    with tempfile.TemporaryDirectory(prefix="senvr-mutants-") as tmp:
+        workdir = Path(tmp)
+        ignore = shutil.ignore_patterns("__pycache__", ".hypothesis")
+        for name in COPIED:
+            source = ROOT / name
+            if source.is_dir():
+                shutil.copytree(source, workdir / name, ignore=ignore)
+            else:
+                shutil.copy2(source, workdir / name)
+        baseline = tuple(dict.fromkeys(t for m in chosen for t in m.tests))
+        if run_tests(workdir, baseline) != 0:
+            print("the unmutated source fails the listed tests", file=sys.stderr)
+            return 1
+        for mutant in chosen:
+            fresh_src(workdir)
+            target = workdir / mutant.path
+            text = target.read_text(encoding="utf-8")
+            target.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+            start = time.perf_counter()
+            killed = run_tests(workdir, mutant.tests) != 0
+            elapsed = time.perf_counter() - start
+            print(f"{'killed ' if killed else 'SURVIVED'} {mutant.name} ({elapsed:.1f} s)")
+            if not killed:
+                survivors.append(mutant.name)
+    if survivors:
+        print(f"{len(survivors)} of {len(chosen)} mutants survived: {', '.join(survivors)}")
+        return 1
+    print(f"all {len(chosen)} mutants killed")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
