@@ -41,7 +41,13 @@ from senvr.orders import (
     preference_map,
     restrict,
 )
-from senvr.profile_io import ballot_groups, format_ballot, parse_profile, serialize_profile
+from senvr.profile_io import (
+    ballot_groups,
+    decode_profile,
+    format_ballot,
+    parse_profile,
+    serialize_profile,
+)
 
 __all__ = ["MAX_TRIPLES", "MAX_VOTER_TRIPLES", "main"]
 
@@ -58,19 +64,30 @@ def _format_set(positions: Sequence[int]) -> str:
 
 
 def _read_profile(path: str) -> Profile:
-    return parse_profile(Path(path).read_text(encoding="utf-8"))
+    return parse_profile(decode_profile(Path(path).read_bytes()))
 
 
-def _dump(value: object, indent: str = "\n") -> str:
+class _IntText(dict):
+    """Int -> its JSON text, each rendered on its first lookup."""
+
+    def __missing__(self, key: int) -> str:
+        text = self[key] = int.__repr__(key)
+        return text
+
+
+def _dump(value: object, indent: str = "\n", table: _IntText | None = None) -> str:
     """``value`` as ``json.dumps(value, indent=2)`` writes it.
 
     Only the types a report holds are accepted: dict with str keys,
     list, str, int, bool and None; anything else raises TypeError.
     ``json.dumps`` falls back to its pure-Python encoder whenever an
     indent is set; this writer escapes strings with the C encoder and
-    joins a list of plain ints in one step.  ``indent`` is the newline
+    joins a list of plain ints in one step, rendering each distinct int
+    once per top-level call through ``table``.  ``indent`` is the newline
     and indentation that precede ``value``'s closing bracket.
     """
+    if table is None:
+        table = _IntText()
     if value is None:
         return "null"
     if value is True:
@@ -81,22 +98,24 @@ def _dump(value: object, indent: str = "\n") -> str:
     if kind is str:
         return encode_basestring_ascii(value)
     if kind is int:
-        return int.__repr__(value)
+        return table[value]
     inner = indent + "  "
     if kind is list:
         if not value:
             return "[]"
-        if all(type(item) is int for item in value):
-            items = map(int.__repr__, value)
+        # bool is a subclass of int but not of this set: a list holding
+        # a bool takes the general path
+        if set(map(type, value)) == {int}:
+            items = map(table.__getitem__, value)
         else:
-            items = (_dump(item, inner) for item in value)
+            items = (_dump(item, inner, table) for item in value)
         return "[" + inner + ("," + inner).join(items) + indent + "]"
     if kind is dict:
         if not value:
             return "{}"
         # the C encoder raises TypeError on a key that is not a str
         items = (
-            encode_basestring_ascii(key) + ": " + _dump(item, inner)
+            encode_basestring_ascii(key) + ": " + _dump(item, inner, table)
             for key, item in value.items()
         )
         return "{" + inner + ("," + inner).join(items) + indent + "}"

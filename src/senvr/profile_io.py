@@ -17,10 +17,14 @@ from collections.abc import Iterable, Sequence
 
 from senvr.orders import Profile, WeakOrder
 
-__all__ = ["ParseError", "parse_profile", "serialize_profile"]
+__all__ = ["ParseError", "decode_profile", "parse_profile", "serialize_profile"]
 
 _NAME_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 _TIE_RE = re.compile(r"[~=]")
+# only these break lines: str.splitlines also breaks at form feed,
+# U+2028 and other characters that may sit inside a comment
+_LINE_BREAK = r"\r\n?|\n"
+_LINE_BREAK_BYTES = re.compile(_LINE_BREAK.encode("ascii"))
 
 
 class ParseError(ValueError):
@@ -72,14 +76,23 @@ def _parse_ballot(rest: str, line: int, index: dict[str, int]) -> WeakOrder:
     return WeakOrder(tuple(classes))
 
 
+def decode_profile(data: bytes) -> str:
+    """The UTF-8 text of a profile file's bytes; a byte that is not valid
+    UTF-8 raises ParseError on its 1-based line."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len(_LINE_BREAK_BYTES.findall(data, 0, exc.start)) + 1
+        byte = data[exc.start]
+        raise ParseError(line, f"byte 0x{byte:02x} is not UTF-8 ({exc.reason})") from None
+
+
 def parse_profile(text: str) -> Profile:
     """Parse profile text (UTF-8 string, LF, CRLF or CR line ends, an
     optional leading byte-order mark) into a Profile."""
     index: dict[str, int] | None = None  # name -> id, in declaration order
     voters: list[WeakOrder] = []
-    # only these break lines: str.splitlines also breaks at form feed,
-    # U+2028 and other characters that may sit inside a comment
-    lines = re.split(r"\r\n?|\n", text.removeprefix("\ufeff"))
+    lines = re.split(_LINE_BREAK, text.removeprefix("\ufeff"))
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:

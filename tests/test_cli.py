@@ -323,6 +323,18 @@ def test_check_counts_lines_at_line_ends_only(capsys, tmp_path):
     assert err.startswith("error: line 3: 'y!' is not a valid name")
 
 
+@pytest.mark.parametrize("command", ["check", "pm"])
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+def test_non_utf8_input_names_the_line_and_the_byte(capsys, tmp_path, command, newline):
+    bad = tmp_path / "bad.profile"
+    lines = [b"# caf\xc3\xa9", b"alternatives: x y z", b"voter: x > y > z", b"voter: x > \xff z"]
+    bad.write_bytes(newline.join(lines) + newline)
+    code, out, err = run_cli(capsys, command, str(bad))
+    assert code == 2
+    assert out == ""
+    assert err == "error: line 4: byte 0xff is not UTF-8 (invalid start byte)\n"
+
+
 def test_check_rejects_two_alternatives(capsys, tmp_path):
     # the condition is about triples, so a two-alternative profile is an
     # out-of-range request rather than a vacuously satisfied condition

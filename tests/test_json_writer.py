@@ -3,7 +3,9 @@
 The writer accepts only the types a report holds (dict with str keys,
 list, str, int, bool, None), so the property is checked over recursive
 values built from those, with the strings, ints and empty containers on
-which an encoder is most likely to slip.
+which an encoder is most likely to slip.  The writer renders each
+distinct int once per call, so values are also drawn from a small range
+in which they repeat across the lists of one value.
 """
 
 import json
@@ -24,12 +26,16 @@ INTS = (
     | st.integers(max_value=-(2**64))
     | st.integers(min_value=2**64)
 )
-SCALARS = st.none() | st.booleans() | INTS | TEXT
+# few distinct values, so that one value holds the same ones many times,
+# with 0 and 1 beside the bools they equal
+SMALL_INTS = st.integers(min_value=-2, max_value=3)
+SCALARS = st.none() | st.booleans() | INTS | SMALL_INTS | TEXT
 VALUES = st.recursive(
     SCALARS,
     lambda children: (
         st.lists(children, max_size=5)
         | st.lists(INTS, max_size=5)
+        | st.lists(SMALL_INTS, max_size=8)
         | st.dictionaries(TEXT, children, max_size=5)
     ),
     max_leaves=40,
@@ -41,6 +47,15 @@ def test_dump_matches_json_dumps_indent_2(value):
     assert _dump(value) == json.dumps(value, indent=2)
 
 
+@given(VALUES, VALUES)
+def test_dump_keeps_no_state_between_calls(first, second):
+    # the int-text table lives for one call: a second call, or a call on
+    # another value in between, renders the same text
+    text = _dump(first)
+    _dump(second)
+    assert _dump(first) == text
+
+
 @pytest.mark.parametrize(
     "value",
     [
@@ -50,6 +65,12 @@ def test_dump_matches_json_dumps_indent_2(value):
         [True],
         [0, False, None],
         {"a": [0, False]},
+        # one report holding the same number as an int and as a bool in
+        # different lists, in both orders
+        {"a": [1, 1], "b": [True, 1], "c": [1, True]},
+        {"a": [True, 1], "b": [1, 1], "c": [0, False], "d": [0]},
+        [[1], [True], [2**64, 2**64]],
+        [[True], [1], 1, True, [False, 0], 0],
         [],
         {},
         [[], {}, [[]]],
@@ -59,7 +80,9 @@ def test_dump_matches_json_dumps_indent_2(value):
     ],
 )
 def test_dump_matches_json_dumps_on_edge_cases(value):
-    assert _dump(value) == json.dumps(value, indent=2)
+    text = _dump(value)
+    assert text == json.dumps(value, indent=2)
+    assert _dump(value) == text
 
 
 @pytest.mark.parametrize(

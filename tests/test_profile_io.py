@@ -3,6 +3,7 @@ from hypothesis import given
 
 from helpers import profiles, wo
 from senvr import ParseError, parse_profile, serialize_profile
+from senvr.profile_io import decode_profile
 
 
 EXAMPLE1_TEXT = """\
@@ -73,6 +74,29 @@ def test_parse_accepts_utf8_bom(example1):
     with pytest.raises(ParseError, match="unrecognized") as excinfo:
         parse_profile(EXAMPLE1_TEXT + "\ufeffvoter: x > y > z\n")
     assert excinfo.value.line == 5
+
+
+def test_decode_returns_the_text_of_utf8_bytes(example1):
+    data = EXAMPLE1_TEXT.replace("x y z\n", "x y z  # caf\u00e9\n", 1).encode("utf-8-sig")
+    assert decode_profile(data) == data.decode("utf-8")
+    assert parse_profile(decode_profile(data)) == example1
+
+
+@pytest.mark.parametrize(
+    "data, line, byte, reason",
+    [
+        (b"\xffalternatives: x y\n", 1, 0xFF, "invalid start byte"),
+        (b"\xef\xbb\xbfalternatives: x\x80 y\n", 1, 0x80, "invalid start byte"),
+        (b"# a\nb\r\nc\rd\r\r\n\xc3(", 6, 0xC3, "invalid continuation byte"),
+        (b"# \xc3\xa9\f\xc2\x85\n# \xe2\x80\xa8 \xe9", 2, 0xE9, "unexpected end of data"),
+    ],
+)
+def test_decode_error_names_the_line_and_the_byte(data, line, byte, reason):
+    # lines are counted at LF, CRLF and CR only, as the parser counts them
+    with pytest.raises(ParseError) as excinfo:
+        decode_profile(data)
+    assert excinfo.value.line == line
+    assert str(excinfo.value) == f"line {line}: byte 0x{byte:02x} is not UTF-8 ({reason})"
 
 
 def test_parse_keeps_declaration_order():

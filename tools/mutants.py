@@ -32,6 +32,8 @@ COPIED = ("src", "tests", "bench", "profiles", "demos", "pyproject.toml")
 CONDITION = "src/senvr/condition.py"
 MAJORITY = "src/senvr/majority.py"
 HARNESS = "src/senvr/harness.py"
+CLI = "src/senvr/cli.py"
+PROFILE_IO = "src/senvr/profile_io.py"
 
 T_COND = "tests/test_condition.py::"
 SEEDED_PARITY = T_COND + "test_array_pass_matches_the_loop_on_seeded_profiles"
@@ -131,6 +133,20 @@ MUTANTS = (
         "weights=_weak_order_counts(m)",
         "weights=[0] + [1] * m",
         ("tests/test_harness.py::test_random_profile_draws_are_pinned",),
+    ),
+    Mutant(
+        "int-list-admits-bools",
+        CLI,
+        "if set(map(type, value)) == {int}:",
+        "if set(map(type, value)) <= {int, bool}:",
+        ("tests/test_json_writer.py::test_dump_matches_json_dumps_on_edge_cases",),
+    ),
+    Mutant(
+        "decode-line-0-based",
+        PROFILE_IO,
+        "findall(data, 0, exc.start)) + 1",
+        "findall(data, 0, exc.start))",
+        ("tests/test_profile_io.py::test_decode_error_names_the_line_and_the_byte",),
     ),
 )
 
