@@ -49,7 +49,7 @@ from senvr.profile_io import (
     serialize_profile,
 )
 
-__all__ = ["MAX_TRIPLES", "MAX_VOTER_TRIPLES", "main"]
+__all__ = ["MAX_MEMBERSHIP_CELLS", "MAX_TRIPLES", "MAX_VOTER_TRIPLES", "main"]
 
 # desk-scale guards for ``check``: the condition visits every voter on every
 # triple, C(m, 3) * n voter-triples, and the report lists each concerned one;
@@ -57,6 +57,9 @@ __all__ = ["MAX_TRIPLES", "MAX_VOTER_TRIPLES", "main"]
 # of JSON, whatever the number of voters
 MAX_VOTER_TRIPLES = 10**7
 MAX_TRIPLES = 10**5
+# desk-scale guard for ``pm``: each voter's k x k membership matrix is built
+# and listed, k alternatives (3 under --triple), n * k**2 cells in all
+MAX_MEMBERSHIP_CELLS = 10**7
 
 
 def _format_set(positions: Sequence[int]) -> str:
@@ -284,6 +287,12 @@ def cmd_pm(args: argparse.Namespace) -> int:
         local_names = list(profile.alternative_names)
     else:
         local_names = [profile.name_of(alt) for alt in triple]
+    n, k = profile.num_voters, len(local_names)
+    if n * k * k > MAX_MEMBERSHIP_CELLS:
+        raise ValueError(
+            f"{n}*{k}^2 = {n * k * k} membership cells exceed "
+            f"the limit of {MAX_MEMBERSHIP_CELLS}"
+        )
 
     voters = []
     for index, voter in enumerate(profile.voters, start=1):

@@ -14,6 +14,7 @@ profile.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import random
@@ -173,42 +174,66 @@ def _enumerate_voter_multisets(m: int, n: int) -> Iterator[tuple[Profile, int]]:
 
 
 @cache
-def _rgs_completions(m: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """ways[i][b]: restricted growth strings for positions i..m-1 that
-    end with exactly k blocks, given b blocks already open."""
+def _rgs_completions(m: int, k: int) -> tuple[tuple[tuple[int, int, int, int], ...], ...]:
+    """steps[i][b]: the draw at position i of a restricted growth string
+    with exactly k blocks, b blocks already open, as (N, N's bit length,
+    ways[i+1][b], b * ways[i+1][b]).
+
+    ways[i][b] counts the strings for positions i..m-1 that end with
+    exactly k blocks, given b blocks already open; N = ways[i][b].
+    """
     ways = [[0] * (k + 2) for _ in range(m + 1)]
     ways[m][k] = 1
     for i in range(m - 1, -1, -1):
         for b in range(k, -1, -1):
             ways[i][b] = b * ways[i + 1][b] + ways[i + 1][b + 1]
-    return tuple(tuple(row) for row in ways)
+    return tuple(
+        tuple(
+            (ways[i][b], ways[i][b].bit_length(), ways[i + 1][b], b * ways[i + 1][b])
+            for b in range(k + 1)
+        )
+        for i in range(m)
+    )
 
 
 # classes built directly: via WeakOrder.from_ranks, random sweeps ran ~5% slower
-def _sample_weak_order(m: int, rng: random.Random) -> WeakOrder:
+def _sample_weak_order(m: int, rng: random.Random, cum: list[int]) -> WeakOrder:
     """Draw one weak order uniformly at random.
 
     Three exact steps: class count k with probability proportional to
-    the number of orders having k classes; a uniform restricted growth
-    string with exactly k blocks (blocks numbered by first appearance);
-    a uniform permutation assigning those blocks to class positions.
-    Each weak order arises from exactly one such triple.
+    the number of orders having k classes (``cum`` accumulates
+    ``_weak_order_counts(m)``); a uniform restricted growth string with
+    exactly k blocks (blocks numbered by first appearance); a uniform
+    permutation assigning those blocks to class positions.  Each weak
+    order arises from exactly one such triple.
+
+    The draws read the generator's raw bits with the exact steps of
+    ``rng.choices(range(m + 1), cum_weights=cum)``, ``rng.randrange(N)``
+    and ``rng.shuffle``, so they and the generator's state after them
+    are the same as those calls would give.
     """
+    getrandbits = rng.getrandbits
     # k = 0 has weight 0, so the draw is the same as over k = 1..m alone
-    k = rng.choices(range(m + 1), weights=_weak_order_counts(m))[0]
-    ways = _rgs_completions(m, k)
+    k = bisect.bisect(cum, rng.random() * (cum[-1] + 0.0), 0, m)
     labels = []
     opened = 0
-    for i in range(m):
-        reuse = opened * ways[i + 1][opened]
-        pick = rng.randrange(ways[i][opened])
+    for row in _rgs_completions(m, k):
+        total, bits, tail, reuse = row[opened]
+        pick = getrandbits(bits)
+        while pick >= total:
+            pick = getrandbits(bits)
         if pick < reuse:
-            labels.append(pick // ways[i + 1][opened])
+            labels.append(pick // tail)
         else:
             labels.append(opened)
             opened += 1
     placement = list(range(k))
-    rng.shuffle(placement)
+    for i in range(k - 1, 0, -1):
+        bits = (i + 1).bit_length()
+        j = getrandbits(bits)
+        while j > i:
+            j = getrandbits(bits)
+        placement[i], placement[j] = placement[j], placement[i]
     classes = [set() for _ in range(k)]
     for alternative, block in enumerate(labels):
         classes[placement[block]].add(alternative)
@@ -229,9 +254,10 @@ def random_profile(m: int, n: int, seed: int, trial: int) -> Profile:
     if not (0 <= seed < 2**64 and 0 <= trial < 2**64):
         raise ValueError("seed and trial must be 64-bit unsigned integers")
     rng = random.Random(seed * 2**64 + trial)
+    cum = list(itertools.accumulate(_weak_order_counts(m)))
     return Profile(
         default_alternative_names(m),
-        tuple(_sample_weak_order(m, rng) for _ in range(n)),
+        tuple(_sample_weak_order(m, rng, cum) for _ in range(n)),
     )
 
 

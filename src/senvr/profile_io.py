@@ -13,6 +13,7 @@ declared alternative exactly once.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from collections.abc import Iterable, Sequence
 
 from senvr.orders import Profile, WeakOrder
@@ -45,9 +46,11 @@ def _parse_declaration(rest: str, line: int) -> tuple[str, ...]:
     names = tuple(_checked_name(token, line) for token in rest.split())
     if len(names) < 2:
         raise ParseError(line, "declare at least two alternatives")
-    for name in names:
-        if names.count(name) > 1:
-            raise ParseError(line, f"alternative {name!r} declared more than once")
+    counts = Counter(names)
+    if len(counts) != len(names):
+        # the first name, in declaration order, that occurs more than once
+        name = next(name for name in names if counts[name] > 1)
+        raise ParseError(line, f"alternative {name!r} declared more than once")
     return names
 
 

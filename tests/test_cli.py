@@ -464,6 +464,43 @@ def test_pm_names_the_repeated_alternative(capsys, spec):
     assert err == f"error: alternative {repeated!r} appears more than once in the triple\n"
 
 
+def test_pm_refuses_too_many_membership_cells_before_building_a_map(
+    capsys, tmp_path, monkeypatch
+):
+    # one voter over 3163 alternatives: 3163**2 = 10,004,569 cells
+    names = [f"a{i}" for i in range(3163)]
+    wide = tmp_path / "wide.profile"
+    wide.write_text(f"alternatives: {' '.join(names)}\nvoter: {' > '.join(names)}\n")
+
+    def built(order):
+        raise AssertionError("a map was built")
+
+    monkeypatch.setattr("senvr.cli.preference_map", built)
+    code, out, err = run_cli(capsys, "pm", str(wide), "--json")
+    assert code == 2
+    assert out == ""
+    assert err == "error: 1*3163^2 = 10004569 membership cells exceed the limit of 10000000\n"
+
+
+# example2 has 5 voters over 4 alternatives: 5 * 4**2 = 80 cells, and
+# 5 * 3**2 = 45 under --triple
+@pytest.mark.parametrize(
+    "triple, cells, limit, status",
+    [(None, 80, 80, 0), (None, 80, 79, 2), ("w,x,y", 45, 45, 0), ("w,x,y", 45, 44, 2)],
+)
+def test_pm_membership_cell_limit_is_inclusive(capsys, monkeypatch, triple, cells, limit, status):
+    monkeypatch.setattr("senvr.cli.MAX_MEMBERSHIP_CELLS", limit)
+    argv = ["pm", EXAMPLE2] + ([] if triple is None else ["--triple", triple])
+    code, out, err = run_cli(capsys, *argv)
+    assert code == status
+    if status:
+        k = 4 if triple is None else 3
+        assert out == ""
+        assert err == (
+            f"error: 5*{k}^2 = {cells} membership cells exceed the limit of {limit}\n"
+        )
+
+
 def test_verify_exhaustive_human(capsys):
     code, out, err = run_cli(capsys, "verify", "--m", "3", "--n", "3", "--exhaustive")
     assert code == 0 and not err

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import random
 import re
 from collections import Counter
 from types import SimpleNamespace
@@ -31,6 +32,7 @@ from senvr.harness import (
     CHUNK_PROFILES,
     VIOLATION_CAP,
     _enumerate_voter_multisets,
+    _sample_weak_order,
     _weak_order_counts,
 )
 from senvr.majority import transitive_mask
@@ -217,6 +219,54 @@ def test_random_profile_draws_are_pinned(m, n, seed, digest):
         for trial in range(20)
     ]
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == digest
+
+
+def spec_sample_weak_order(m, rng):
+    """The sampler as calls to ``choices``, ``randrange`` and ``shuffle``:
+    the specification that ``_sample_weak_order``'s raw-bit steps follow."""
+    k = rng.choices(range(m + 1), weights=_weak_order_counts(m))[0]
+    # ways[i][b]: restricted growth strings for positions i..m-1 that end
+    # with exactly k blocks, given b blocks already open
+    ways = [[0] * (k + 2) for _ in range(m + 1)]
+    ways[m][k] = 1
+    for i in range(m - 1, -1, -1):
+        for b in range(k, -1, -1):
+            ways[i][b] = b * ways[i + 1][b] + ways[i + 1][b + 1]
+    labels = []
+    opened = 0
+    for i in range(m):
+        reuse = opened * ways[i + 1][opened]
+        pick = rng.randrange(ways[i][opened])
+        if pick < reuse:
+            labels.append(pick // ways[i + 1][opened])
+        else:
+            labels.append(opened)
+            opened += 1
+    placement = list(range(k))
+    rng.shuffle(placement)
+    classes = [set() for _ in range(k)]
+    for alternative, block in enumerate(labels):
+        classes[placement[block]].add(alternative)
+    return WeakOrder(tuple(frozenset(c) for c in classes))
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_sampler_draws_and_leaves_the_generator_as_the_specification(m):
+    cum = list(itertools.accumulate(_weak_order_counts(m)))
+    for seed in range(250):
+        spec_rng, rng = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            assert _sample_weak_order(m, rng, cum) == spec_sample_weak_order(m, spec_rng)
+            assert rng.getstate() == spec_rng.getstate()
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("m", range(2, 9))
+def test_random_profile_draws_as_the_specification(m, seed):
+    for trial in (0, 1, 2**64 - 1):
+        rng = random.Random(seed * 2**64 + trial)
+        expected = tuple(spec_sample_weak_order(m, rng) for _ in range(7))
+        assert random_profile(m, 7, seed, trial).voters == expected
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,6 @@
 import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -221,6 +223,40 @@ def test_transitive_mask_matches_per_profile_on_every_m3_profile(n, intransitive
         is_transitive(majority_relation(pairwise_tallies(p)))[0] for p in profiles
     ]
     assert verdicts.count(False) == intransitive
+
+
+def linear_order_multisets(n):
+    """Each multiset of n of the 6 linear orders over 3 alternatives once,
+    as its rank rows, with its orderings n!/(k1! k2! ...)."""
+    orders = list(itertools.permutations(range(3)))
+    for picks in itertools.combinations_with_replacement(orders, n):
+        repeats = math.prod(
+            math.factorial(len(list(run))) for _, run in itertools.groupby(picks)
+        )
+        yield picks, math.factorial(n) // repeats
+
+
+# Gehrlein and Fishburn (1976): the probability of a majority cycle among 3
+# alternatives for n voters with linear orders, under the impartial culture
+# (each ordered profile equally likely) and the impartial anonymous culture
+# (each multiset equally likely), odd n
+@pytest.mark.parametrize(
+    "n, impartial_culture",
+    [
+        (3, Fraction(1, 18)),
+        (5, Fraction(5, 72)),
+        (7, Fraction(875, 11664)),
+        (9, Fraction(65485, 839808)),
+    ],
+)
+def test_transitive_mask_gives_the_published_cycle_probabilities(n, impartial_culture):
+    multisets = list(linear_order_multisets(n))
+    transitive = transitive_mask(np.array([picks for picks, _ in multisets])).tolist()
+    cyclic = [weight for (_, weight), ok in zip(multisets, transitive) if not ok]
+    assert sum(weight for _, weight in multisets) == 6**n
+    assert Fraction(sum(cyclic), 6**n) == impartial_culture
+    anonymous = 1 - Fraction(15 * (n + 3) ** 2, 16 * (n + 2) * (n + 4))
+    assert Fraction(len(cyclic), len(multisets)) == anonymous
 
 
 @pytest.mark.parametrize("m", [4, 5, 6])

@@ -106,6 +106,16 @@ def test_parse_keeps_declaration_order():
 
 
 @pytest.mark.parametrize(
+    "declared, repeated",
+    [("a b b a", "a"), ("a b c c b", "b"), ("x y z y x z", "x"), ("p q r s s", "s")],
+)
+def test_declaration_error_names_the_first_declared_name_that_repeats(declared, repeated):
+    message = rf"^line 1: alternative '{repeated}' declared more than once$"
+    with pytest.raises(ParseError, match=message):
+        parse_profile(f"alternatives: {declared}\nvoter: {declared.split()[0]}\n")
+
+
+@pytest.mark.parametrize(
     "text, lineno, reason",
     [
         ("alternatives: x y\nvoter: x > q\n", 2, "unknown"),

@@ -38,6 +38,10 @@ PROFILE_IO = "src/senvr/profile_io.py"
 T_COND = "tests/test_condition.py::"
 SEEDED_PARITY = T_COND + "test_array_pass_matches_the_loop_on_seeded_profiles"
 LARGE_GOLDEN = "tests/test_golden.py::test_check_large_output_matches_golden_digest"
+PINNED_DRAWS = "tests/test_harness.py::test_random_profile_draws_are_pinned"
+SAMPLER_SPEC = (
+    "tests/test_harness.py::test_sampler_draws_and_leaves_the_generator_as_the_specification"
+)
 
 
 @dataclass(frozen=True)
@@ -130,9 +134,23 @@ MUTANTS = (
     Mutant(
         "sampler-uniform-class-counts",
         HARNESS,
-        "weights=_weak_order_counts(m)",
-        "weights=[0] + [1] * m",
-        ("tests/test_harness.py::test_random_profile_draws_are_pinned",),
+        "itertools.accumulate(_weak_order_counts(m))",
+        "itertools.accumulate([0] + [1] * m)",
+        (PINNED_DRAWS,),
+    ),
+    Mutant(
+        "sampler-rejection-strict",
+        HARNESS,
+        "while pick >= total:",
+        "while pick > total:",
+        (PINNED_DRAWS, SAMPLER_SPEC),
+    ),
+    Mutant(
+        "shuffle-bit-width-short",
+        HARNESS,
+        "bits = (i + 1).bit_length()",
+        "bits = i.bit_length()",
+        (PINNED_DRAWS, SAMPLER_SPEC),
     ),
     Mutant(
         "int-list-admits-bools",
