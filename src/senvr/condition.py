@@ -20,16 +20,17 @@ The three ``check_*`` functions are the per-voter reference definitions.
 :func:`sen_condition` reaches the same verdicts by counting: restricted to
 a triple, a ballot has one of 13 shapes, so each check depends only on
 which shapes occur and the membership sum only on how many voters have
-each shape.  Its table of shape rows is built once, from the 13 orders
-over a triple read through the reference representations, and each
-shape's three readings are compared there, so they cannot split on any
-triple; a triple then costs one count per shape that occurs.
+each shape.  Its one shape table is built once, from the 13 orders over
+a triple read through the reference representations, and each shape's
+three readings are compared there, so they cannot split on any triple;
+total indifference is empty in it, as unconcerned voters add nothing to
+the sums.  A triple then costs one count per shape that occurs.
 A profile of at least ``ARRAY_MIN_VOTER_TRIPLES`` voter-triples is
 decided over its rank matrix, a block of triples at a time: one
-``bincount`` counts every triple's shape codes and one product with a
-27 x 9 table turns the counts into sums.  Smaller profiles, such as an
-exhaustive sweep's, keep the per-triple loop, which is cheaper than
-NumPy's fixed cost per call there.
+``bincount`` counts every triple's shape codes and one product with the
+table's 27 x 9 matrix form turns the counts into sums.  Smaller
+profiles, such as an exhaustive sweep's, keep the per-triple loop, which
+is cheaper than NumPy's fixed cost per call there.
 A :class:`TripleReport` stores only the triple, the concerned voters and
 the nine sums; every verdict, witness and union is a reading of the sums.
 """
@@ -252,18 +253,22 @@ def _shape_codes(ranks: tuple[tuple[int, ...], ...], triple: Triple) -> list[int
 
 
 @lru_cache(maxsize=None)
-def _shape_rows() -> tuple[tuple[int, ...] | None, ...]:
-    """Each ballot shape's membership cells, in 27 slots indexed by shape code.
+def _shape_table() -> tuple[tuple[tuple[int, ...] | None, ...], np.ndarray]:
+    """What a voter of each ballot shape adds to a triple's nine sums.
 
     Built from the 13 weak orders over the triple (0, 1, 2), each restricted
     to it and read three ways: the preference map's admissible positions,
     the membership matrix and the value sets, each as 9 bits, bit
     ``3*i + j`` set iff row ``i`` admits position (value) ``j + 1``.  Unequal
-    readings raise :class:`InternalDisagreement`.  A slot holds the cells
-    ``3*row + column`` where the membership matrix is 1, or ``None`` for
-    the 14 codes that no order has.
+    readings raise :class:`InternalDisagreement`.  Returns one table in two
+    forms, indexed by shape code: 27 slots of the cells ``3*row + column``
+    where the membership matrix is 1, for the per-triple loop, and the
+    read-only 27 x 9 matrix that is 1 on them, for the array pass.  Total
+    indifference (13) is empty in both, as unconcerned voters add nothing
+    to the sums; the 14 codes no order has are ``None`` and zero rows.
     """
     rows: list[tuple[int, ...] | None] = [None] * 27
+    table = np.zeros((27, 9), dtype=np.int64)
     for ranks in itertools.product(range(3), repeat=3):
         (code,) = _shape_codes((ranks,), _FIRST_TRIPLE)
         if rows[code] is not None:
@@ -282,8 +287,10 @@ def _shape_rows() -> tuple[tuple[int, ...] | None, ...]:
                 f"union={by_union:09b} membership={by_membership:09b} "
                 f"qualitative={by_value:09b} (bit 3*row + column)"
             )
-        rows[code] = cells
-    return tuple(rows)
+        rows[code] = () if code == _UNCONCERNED else cells
+        table[code, list(rows[code])] = 1
+    table.setflags(write=False)
+    return tuple(rows), table
 
 
 def _triple_report(
@@ -292,7 +299,6 @@ def _triple_report(
     """Decide one triple from how many of its voters have each shape."""
     shapes = set(codes)
     if _UNCONCERNED in shapes:
-        shapes.remove(_UNCONCERNED)
         concerned = tuple(k for k, code in enumerate(codes) if code != _UNCONCERNED)
     else:
         concerned = tuple(range(len(codes)))
@@ -318,34 +324,13 @@ ARRAY_MIN_VOTER_TRIPLES = 64
 _BLOCK_CELLS = 1 << 13
 
 
-@lru_cache(maxsize=None)
-def _shape_table(rows: tuple[tuple[int, ...] | None, ...]) -> np.ndarray:
-    """The 27 x 9 matrix that turns a triple's shape counts into its sums.
-
-    Row ``code`` is 1 on the membership cells of that shape.  The row of
-    total indifference (13) is zero, because unconcerned voters add
-    nothing to the sums, and so are the 14 rows of codes no order has.
-    Cached by the value of ``rows``, so it follows :func:`_shape_rows`
-    when that is rebuilt.
-    """
-    table = np.zeros((27, 9), dtype=np.int64)
-    for code, cells in enumerate(rows):
-        if cells is not None and code != _UNCONCERNED:
-            table[code, list(cells)] = 1
-    table.setflags(write=False)
-    return table
-
-
-def _array_reports(
-    profile: Profile, rows: tuple[tuple[int, ...] | None, ...]
-) -> tuple[TripleReport, ...]:
+def _array_reports(profile: Profile, table: np.ndarray) -> tuple[TripleReport, ...]:
     """Decide every triple by counting shape codes over the rank matrix.
 
     Per block of triples, the voters x triples shape codes are counted
     in one ``bincount`` over codes offset by 27 per triple, and the
-    counts times :func:`_shape_table` give the sums.
+    counts times the ``table`` matrix of :func:`_shape_table` give the sums.
     """
-    table = _shape_table(rows)
     n = profile.num_voters
     ranks = np.array(profile.ranks).T  # alternatives x voters
     everyone = tuple(range(n))
@@ -373,7 +358,7 @@ def sen_condition(profile: Profile) -> SenVerdict:
     """Check value restriction and concerned-count parity on every triple.
 
     Each triple's concerned voters of each shape add that shape's
-    membership cells from :func:`_shape_rows`, whose union, membership and
+    membership cells from :func:`_shape_table`, whose union, membership and
     qualitative readings were compared when it was built.  A profile of at
     least ``ARRAY_MIN_VOTER_TRIPLES`` voter-triples is decided a block of
     triples at a time over its rank matrix; a smaller one, triple by
@@ -384,10 +369,10 @@ def sen_condition(profile: Profile) -> SenVerdict:
     m = profile.num_alternatives
     if m < 3:
         raise ValueError("the condition is defined for at least 3 alternatives")
-    rows = _shape_rows()
+    rows, table = _shape_table()
     ranks = profile.ranks
     if len(ranks) * math.comb(m, 3) >= ARRAY_MIN_VOTER_TRIPLES:
-        return SenVerdict(_array_reports(profile, rows))
+        return SenVerdict(_array_reports(profile, table))
     return SenVerdict(
         tuple(_triple_report(triple, _shape_codes(ranks, triple), rows) for triple in triples(m))
     )

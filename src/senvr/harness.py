@@ -7,9 +7,9 @@ condition yet yields an intransitive social relation.  An empty
 violation list over a sweep is the empirical sufficiency evidence.
 Permuting voters changes neither verdict, so an exhaustive sweep
 decides each multiset of voters once and counts it by its number of
-orderings.  Majority verdicts are decided per chunk of profiles, in one
-numpy pass over the chunk's rank array; the condition is decided per
-profile.
+orderings.  Majority verdicts are decided per chunk of profiles, at most
+``CHUNK_VOTERS`` ballots or one profile, in one numpy pass over the
+chunk's rank array; the condition is decided per profile.
 """
 
 from __future__ import annotations
@@ -48,9 +48,10 @@ ENUMERATION_BUDGET = 10**7
 MAX_ENUMERATED_ALTERNATIVES = 5
 MAX_SAMPLED_ALTERNATIVES = 8
 VIOLATION_CAP = 10
-# profiles whose majority verdicts are decided in one numpy pass; bounded
-# so a sweep's memory does not grow with its length
-CHUNK_PROFILES = 256
+# ballots whose profiles' majority verdicts are decided in one numpy pass
+# (one profile at least); bounded so a sweep's memory grows with neither
+# its length nor its voter count
+CHUNK_VOTERS = 2**11
 
 
 class RangeError(ValueError):
@@ -312,10 +313,10 @@ def run_harness(config: HarnessConfig) -> HarnessReport:
     multiset's number of orderings to every counter; a random sweep
     decides and counts each drawn profile once.  Each decided profile
     passes through the full condition decision and the majority rule.
-    The stream is taken in chunks of ``CHUNK_PROFILES``: majority
-    transitivity is decided for a whole chunk at once from its
-    (profiles, voters, m) rank array, then the condition is decided and
-    the outcomes counted profile by profile, in stream order.
+    The stream is taken in chunks of ``CHUNK_VOTERS // n`` profiles, one
+    at least: majority transitivity is decided for a whole chunk at once
+    from its (profiles, voters, m) rank array, then the condition is
+    decided and the outcomes counted profile by profile, in stream order.
     ``violations`` holds the first violating profiles in stream order;
     for an exhaustive sweep, the order of ``enumerate_profiles``.
     Raises InternalDisagreement if the three readings of a ballot shape
@@ -330,7 +331,8 @@ def run_harness(config: HarnessConfig) -> HarnessReport:
         )
     tested = held = held_transitive = failed = failed_transitive = 0
     violations: list[Profile] = []
-    while chunk := list(itertools.islice(stream, CHUNK_PROFILES)):
+    size = max(1, CHUNK_VOTERS // config.n)
+    while chunk := list(itertools.islice(stream, size)):
         transitive = transitive_mask(np.array([profile.ranks for profile, _ in chunk]))
         for (profile, weight), profile_transitive in zip(chunk, transitive.tolist()):
             verdict = sen_condition(profile)

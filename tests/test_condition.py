@@ -351,7 +351,7 @@ def test_every_shape_subset_matches_the_reference_checkers():
     assert len(shapes) == 12
     indifferent = wo({0, 1, 2})
     names = ("x", "y", "z")
-    rows = senvr.condition._shape_rows()
+    _, table = senvr.condition._shape_table()
     restricted = 0
     for mask in range(1 << len(shapes)):
         chosen = [s for i, s in enumerate(shapes) if mask >> i & 1]
@@ -360,7 +360,7 @@ def test_every_shape_subset_matches_the_reference_checkers():
         profile = Profile(names, (*chosen[:half], indifferent, *chosen[half:]))
         verdict = sen_condition(profile)
         (report,) = verdict.per_triple
-        assert_same_reports(senvr.condition._array_reports(profile, rows), verdict.per_triple)
+        assert_same_reports(senvr.condition._array_reports(profile, table), verdict.per_triple)
         assert report.triple == T012
         concerned = tuple(sorted(concerned_set(profile, T012)))
         assert report.concerned == concerned
@@ -396,9 +396,11 @@ def test_sum_matrix_counts_voters_of_each_shape():
 def test_shape_table_holds_the_three_readings_of_every_order_over_a_triple():
     # slot 9*sgn(a-b) + 3*sgn(b-c) + sgn(a-c) + 13 of ranks (a, b, c); 13 is
     # total indifference, and the 14 codes no order has stay empty
-    senvr.condition._shape_rows.cache_clear()
-    rows = senvr.condition._shape_rows()
+    senvr.condition._shape_table.cache_clear()
+    rows, table = senvr.condition._shape_table()
     assert len(rows) == 27
+    assert table.shape == (27, 9) and table.dtype == np.int64
+    assert not table.flags.writeable
 
     def sign(d):
         return (d > 0) - (d < 0)
@@ -409,12 +411,23 @@ def test_shape_table_holds_the_three_readings_of_every_order_over_a_triple():
         codes[9 * sign(a - b) + 3 * sign(b - c) + sign(a - c) + 13] = order
     assert len(codes) == 13 and codes[13] == wo({0, 1, 2})
     assert [code for code, row in enumerate(rows) if row is not None] == sorted(codes)
+    for code in set(range(27)) - set(codes):
+        assert not table[code].any()
     for code, order in codes.items():
         pm = preference_map(order)
         by_membership = np.flatnonzero(membership_map(pm).entries).tolist()
         by_union = sorted(3 * i + p - 1 for i in range(3) for p in pm.rows[i])
         by_value = sorted(3 * i + v.value - 1 for i in range(3) for v in value_set(order, i))
-        assert list(rows[code]) == by_membership == by_union == by_value
+        assert by_membership == by_union == by_value
+        if code == 13:
+            # total indifference admits every cell, but an unconcerned voter
+            # adds nothing to the sums: empty in both forms
+            assert by_membership == list(range(9))
+            assert rows[code] == () and not table[code].any()
+        else:
+            assert list(rows[code]) == by_membership
+            assert np.flatnonzero(table[code]).tolist() == by_membership
+            assert set(table[code].tolist()) == {0, 1}
 
 
 def test_sen_condition_restricts_only_the_table_orders(monkeypatch):
@@ -429,13 +442,13 @@ def test_sen_condition_restricts_only_the_table_orders(monkeypatch):
 
     monkeypatch.setattr(senvr.condition, "restrict", counting)
     real.cache_clear()
-    senvr.condition._shape_rows.cache_clear()
+    senvr.condition._shape_table.cache_clear()
     try:
         golden = Path(__file__).resolve().parent / "golden" / "large_10x301.profile"
         profile = parse_profile(golden.read_text(encoding="utf-8"))
         verdict = sen_condition(profile)
     finally:
-        senvr.condition._shape_rows.cache_clear()
+        senvr.condition._shape_table.cache_clear()
     assert len(verdict.per_triple) == 120
     assert 0 < len(calls) <= 13
     assert {triple for _, triple in calls} == {T012}
@@ -461,13 +474,13 @@ def test_corrupt_shape_row_raises_disagreement(monkeypatch, source):
         return result
 
     monkeypatch.setattr(senvr.condition, source, corrupt)
-    senvr.condition._shape_rows.cache_clear()
+    senvr.condition._shape_table.cache_clear()
     try:
         profile = Profile(("x", "y", "z"), (strict, wo({0, 1, 2})))
         with pytest.raises(InternalDisagreement, match=r"checkers disagree on triple \(0, 1, 2\)"):
             sen_condition(profile)
     finally:
-        senvr.condition._shape_rows.cache_clear()
+        senvr.condition._shape_table.cache_clear()
 
 
 def test_reports_store_only_the_triple_the_concerned_voters_and_the_sums():
@@ -496,7 +509,7 @@ def both_paths(profile):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(senvr.condition, "ARRAY_MIN_VOTER_TRIPLES", math.inf)
         by_loop = sen_condition(profile).per_triple
-    return senvr.condition._array_reports(profile, senvr.condition._shape_rows()), by_loop
+    return senvr.condition._array_reports(profile, senvr.condition._shape_table()[1]), by_loop
 
 
 def seeded_rank_profile(rng, m, n):
@@ -542,23 +555,6 @@ def test_array_pass_shares_one_concerned_tuple_when_nobody_is_unconcerned():
     got, _ = both_paths(profile)
     assert len({id(r.concerned) for r in got}) == 1
     assert got[0].concerned == (0, 1, 2)
-
-
-def test_shape_table_is_the_shape_rows_with_the_unconcerned_row_zero():
-    rows = senvr.condition._shape_rows()
-    table = senvr.condition._shape_table(rows)
-    assert table.shape == (27, 9)
-    assert not table.flags.writeable
-    unused = [code for code, cells in enumerate(rows) if cells is None]
-    assert len(unused) == 14
-    for code, cells in enumerate(rows):
-        if cells is None or code == 13:
-            assert not table[code].any()
-        else:
-            assert np.flatnonzero(table[code]).tolist() == list(cells)
-            assert set(table[code].tolist()) == {0, 1}
-    # total indifference admits every cell; the table must not count it
-    assert rows[13] == tuple(range(9))
 
 
 @pytest.mark.parametrize("n, path", [(63, "_triple_report"), (64, "_array_reports")])

@@ -29,7 +29,7 @@ from senvr import (
 )
 from senvr.cli import main
 from senvr.harness import (
-    CHUNK_PROFILES,
+    CHUNK_VOTERS,
     VIOLATION_CAP,
     _enumerate_voter_multisets,
     _sample_weak_order,
@@ -308,12 +308,13 @@ def test_harness_exhaustive_m3_n3():
     )
 
 
-@pytest.mark.parametrize("chunk", [CHUNK_PROFILES, 7])
-def test_violations_keep_stream_order_across_chunks(monkeypatch, chunk):
+@pytest.mark.parametrize("ballots", [CHUNK_VOTERS, 21, 2])
+def test_violations_keep_stream_order_across_chunks(monkeypatch, ballots):
     # a condition that always holds turns every intransitive profile into
-    # a violation; the first ten lie at stream positions 23..75, so a
-    # chunk of 7 spreads them over several chunks
-    monkeypatch.setattr("senvr.harness.CHUNK_PROFILES", chunk)
+    # a violation; the first ten lie at stream positions 23..75, so chunks
+    # of 21 ballots (7 profiles of 3) spread them over several chunks, and
+    # a budget below the voter count still takes one profile a chunk
+    monkeypatch.setattr("senvr.harness.CHUNK_VOTERS", ballots)
     held = SimpleNamespace(condition_holds=True)
     monkeypatch.setattr("senvr.harness.sen_condition", lambda profile: held)
     report = run_harness(HarnessConfig(m=3, n=3, mode=HarnessMode.EXHAUSTIVE))
@@ -325,6 +326,25 @@ def test_violations_keep_stream_order_across_chunks(monkeypatch, chunk):
     assert report.violations == tuple(intransitive[:VIOLATION_CAP])
     assert report.condition_held_count == 2197
     assert report.condition_held_and_transitive_count == 1897
+
+
+@pytest.mark.parametrize("n, trials", [(1, 2100), (700, 7), (3000, 2)])
+def test_sweep_chunks_hold_at_most_chunk_voters_ballots(monkeypatch, n, trials):
+    # a chunk holds CHUNK_VOTERS // n profiles, or one when n is larger,
+    # whatever n is; each run here needs more than one chunk
+    sizes = []
+
+    def spy(ranks):
+        sizes.append(ranks.shape[:2])
+        return transitive_mask(ranks)
+
+    monkeypatch.setattr("senvr.harness.transitive_mask", spy)
+    report = run_harness(HarnessConfig(m=3, n=n, mode=HarnessMode.RANDOM, trials=trials))
+    assert report.profiles_tested == trials
+    assert len(sizes) > 1
+    assert {voters for _, voters in sizes} == {n}
+    assert sum(profiles for profiles, _ in sizes) == trials
+    assert all(profiles * n <= max(CHUNK_VOTERS, n) for profiles, _ in sizes)
 
 
 def test_violations_list_the_orderings_of_a_violating_multiset(monkeypatch):

@@ -21,7 +21,7 @@ from senvr import (
     sen_condition,
     social_ordering,
 )
-from senvr.harness import CHUNK_PROFILES
+from senvr.harness import CHUNK_VOTERS
 from senvr.majority import transitive_mask
 
 
@@ -189,10 +189,11 @@ def test_transitive_relation_round_trips_through_ordering(profile):
 
 
 def batched_verdicts(profiles):
-    """transitive_mask over CHUNK_PROFILES profiles at a time, as a sweep runs it."""
+    """transitive_mask over CHUNK_VOTERS ballots at a time, as a sweep runs it."""
     verdicts = []
-    for start in range(0, len(profiles), CHUNK_PROFILES):
-        chunk = profiles[start : start + CHUNK_PROFILES]
+    size = max(1, CHUNK_VOTERS // profiles[0].num_voters)
+    for start in range(0, len(profiles), size):
+        chunk = profiles[start : start + size]
         ranks = np.array([[voter.ranks for voter in p.voters] for p in chunk])
         verdicts.extend(transitive_mask(ranks).tolist())
     return verdicts
@@ -217,7 +218,7 @@ def reference_transitive(profile):
 @pytest.mark.parametrize("n, intransitive", [(3, 300), (4, 4692)])
 def test_transitive_mask_matches_per_profile_on_every_m3_profile(n, intransitive):
     profiles = list(enumerate_profiles(3, n))
-    assert len(profiles) > CHUNK_PROFILES
+    assert len(profiles) * n > CHUNK_VOTERS
     verdicts = batched_verdicts(profiles)
     assert verdicts == [
         is_transitive(majority_relation(pairwise_tallies(p)))[0] for p in profiles

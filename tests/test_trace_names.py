@@ -43,7 +43,7 @@ def test_cold_sen_condition_consults_every_counted_cache(tracing, example2):
     counted = {name: tracing.lookup(*where) for name, where in tracing.COUNTED.items()}
     for fn in counted.values():
         fn.cache_clear()
-    senvr.condition._shape_rows.cache_clear()
+    senvr.condition._shape_table.cache_clear()
     sen_condition(example2)
     for name, fn in counted.items():
         info = fn.cache_info()

@@ -3,10 +3,12 @@
 A mutant is one exact text edit to one file under ``src/``.  For each
 entry the script copies the repository's ``src/``, ``tests/``, ``bench/``,
 ``profiles/``, ``demos/`` and ``pyproject.toml`` to a temporary directory,
-applies the edit to the copy of ``src/``, and runs the entry's tests
-there with pytest.  The mutant is killed when pytest reports a failure or
-an error.  The unmutated copy must pass every listed test first, or the
-check means nothing.  The repository itself is never edited.
+applies the edit to the copy of ``src/``, and runs each of the entry's
+tests there with pytest, one test a run.  Each test must kill the mutant
+on its own, by a failure or an error; every (mutant, test) pair where the
+test passes is reported as a survivor.  The unmutated copy must pass
+every listed test first, or the check means nothing.  The repository
+itself is never edited.
 
     python3 tools/mutants.py            # every mutant; exit 1 if one survives
     python3 tools/mutants.py --list     # names only
@@ -57,9 +59,13 @@ MUTANTS = (
     Mutant(
         "table-row-13-nonzero",
         CONDITION,
-        "if cells is not None and code != _UNCONCERNED:",
-        "if cells is not None:",
-        (T_COND + "test_shape_table_is_the_shape_rows_with_the_unconcerned_row_zero",),
+        "rows[code] = () if code == _UNCONCERNED else cells",
+        "rows[code] = cells",
+        (
+            T_COND + "test_shape_table_holds_the_three_readings_of_every_order_over_a_triple",
+            T_COND + "test_every_shape_subset_matches_the_reference_checkers",
+            LARGE_GOLDEN,
+        ),
     ),
     Mutant(
         "code-offset-14",
@@ -132,6 +138,13 @@ MUTANTS = (
         ("tests/test_harness.py::test_violations_list_the_orderings_of_a_violating_multiset",),
     ),
     Mutant(
+        "chunk-bound-ignores-voters",
+        HARNESS,
+        "size = max(1, CHUNK_VOTERS // config.n)",
+        "size = max(1, CHUNK_VOTERS)",
+        ("tests/test_harness.py::test_sweep_chunks_hold_at_most_chunk_voters_ballots",),
+    ),
+    Mutant(
         "sampler-uniform-class-counts",
         HARNESS,
         "itertools.accumulate(_weak_order_counts(m))",
@@ -170,7 +183,7 @@ MUTANTS = (
 
 
 def run_tests(workdir: Path, tests: tuple[str, ...]) -> int:
-    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    command = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests]
     result = subprocess.run(command, cwd=workdir, capture_output=True, text=True)
     if result.returncode not in (0, 1, 2):
         # 4: usage error, 5: nothing collected; a misnamed test is no kill
@@ -221,16 +234,20 @@ def main(argv: list[str] | None = None) -> int:
             target = workdir / mutant.path
             text = target.read_text(encoding="utf-8")
             target.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
-            start = time.perf_counter()
-            killed = run_tests(workdir, mutant.tests) != 0
-            elapsed = time.perf_counter() - start
-            print(f"{'killed ' if killed else 'SURVIVED'} {mutant.name} ({elapsed:.1f} s)")
-            if not killed:
-                survivors.append(mutant.name)
+            for test in mutant.tests:
+                start = time.perf_counter()
+                killed = run_tests(workdir, (test,)) != 0
+                elapsed = time.perf_counter() - start
+                verdict = "killed  " if killed else "SURVIVED"
+                print(f"{verdict} {mutant.name} by {test} ({elapsed:.1f} s)")
+                if not killed:
+                    survivors.append(f"{mutant.name} by {test}")
+    pairs = sum(len(mutant.tests) for mutant in chosen)
     if survivors:
-        print(f"{len(survivors)} of {len(chosen)} mutants survived: {', '.join(survivors)}")
+        print(f"{len(survivors)} of {pairs} (mutant, test) pairs survived:")
+        print("\n".join(survivors))
         return 1
-    print(f"all {len(chosen)} mutants killed")
+    print(f"all {len(chosen)} mutants killed by each of their tests ({pairs} pairs)")
     return 0
 
 
