@@ -397,10 +397,8 @@ def test_shape_table_holds_the_three_readings_of_every_order_over_a_triple():
     # slot 9*sgn(a-b) + 3*sgn(b-c) + sgn(a-c) + 13 of ranks (a, b, c); 13 is
     # total indifference, and the 14 codes no order has stay empty
     senvr.condition._shape_table.cache_clear()
-    rows, table = senvr.condition._shape_table()
+    rows, _ = senvr.condition._shape_table()
     assert len(rows) == 27
-    assert table.shape == (27, 9) and table.dtype == np.int64
-    assert not table.flags.writeable
 
     def sign(d):
         return (d > 0) - (d < 0)
@@ -411,8 +409,6 @@ def test_shape_table_holds_the_three_readings_of_every_order_over_a_triple():
         codes[9 * sign(a - b) + 3 * sign(b - c) + sign(a - c) + 13] = order
     assert len(codes) == 13 and codes[13] == wo({0, 1, 2})
     assert [code for code, row in enumerate(rows) if row is not None] == sorted(codes)
-    for code in set(range(27)) - set(codes):
-        assert not table[code].any()
     for code, order in codes.items():
         pm = preference_map(order)
         by_membership = np.flatnonzero(membership_map(pm).entries).tolist()
@@ -421,13 +417,27 @@ def test_shape_table_holds_the_three_readings_of_every_order_over_a_triple():
         assert by_membership == by_union == by_value
         if code == 13:
             # total indifference admits every cell, but an unconcerned voter
-            # adds nothing to the sums: empty in both forms
+            # adds nothing to the sums
             assert by_membership == list(range(9))
-            assert rows[code] == () and not table[code].any()
+            assert rows[code] == ()
         else:
             assert list(rows[code]) == by_membership
-            assert np.flatnonzero(table[code]).tolist() == by_membership
+
+
+def test_shape_table_is_the_shape_rows_with_the_unconcerned_row_zero():
+    rows, table = senvr.condition._shape_table()
+    assert table.shape == (27, 9) and table.dtype == np.int64
+    assert not table.flags.writeable
+    unused = [code for code, cells in enumerate(rows) if cells is None]
+    assert len(unused) == 14
+    for code, cells in enumerate(rows):
+        if cells is None or code == 13:
+            assert not table[code].any()
+        else:
+            assert np.flatnonzero(table[code]).tolist() == list(cells)
             assert set(table[code].tolist()) == {0, 1}
+    # total indifference is empty in both forms
+    assert rows[13] == ()
 
 
 def test_sen_condition_restricts_only_the_table_orders(monkeypatch):

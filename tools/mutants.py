@@ -63,6 +63,7 @@ MUTANTS = (
         "rows[code] = cells",
         (
             T_COND + "test_shape_table_holds_the_three_readings_of_every_order_over_a_triple",
+            T_COND + "test_shape_table_is_the_shape_rows_with_the_unconcerned_row_zero",
             T_COND + "test_every_shape_subset_matches_the_reference_checkers",
             LARGE_GOLDEN,
         ),
