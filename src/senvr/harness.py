@@ -5,11 +5,16 @@ profiles) through the condition checkers and the majority rule, counts
 the joint outcomes, and collects any profile that satisfies the
 condition yet yields an intransitive social relation.  An empty
 violation list over a sweep is the empirical sufficiency evidence.
-Permuting voters changes neither verdict, so an exhaustive sweep
-decides each multiset of voters once and counts it by its number of
-orderings.  Majority verdicts are decided per chunk of profiles, at most
-``CHUNK_VOTERS`` ballots or one profile, in one numpy pass over the
-chunk's rank array; the condition is decided per profile.
+Neither verdict changes when the voters are permuted, the alternatives
+renamed or every ballot reversed: renaming keeps "some alternative never
+takes some value" on a triple, reversal swaps best with worst, and the
+majority relation is permuted or turned into its converse, which is
+transitive iff it is.  So an exhaustive sweep decides one voter multiset
+per orbit of the 2·m! relabelings and reversals and counts it by the
+orbit's number of ordered profiles.  Majority verdicts are decided per
+chunk of profiles, at most ``CHUNK_VOTERS`` ballots or one profile, in
+one numpy pass over the chunk's rank array; the condition is decided per
+profile.
 """
 
 from __future__ import annotations
@@ -150,26 +155,84 @@ def enumerate_profiles(m: int, n: int) -> Iterator[Profile]:
     return stream()
 
 
-def _enumerate_voter_multisets(m: int, n: int) -> Iterator[tuple[Profile, int]]:
-    """Each multiset of n voters on m alternatives once, with its orderings.
+@cache
+def _symmetry_table(m: int) -> np.ndarray:
+    """Row g, column i: the ``enumerate_weak_orders(m)`` index of order i's image under g.
 
-    A multiset comes as the profile whose voters are in nondecreasing
-    ``enumerate_weak_orders(m)`` index, the first of its orderings in
-    ``enumerate_profiles(m, n)``; its weight is the multinomial
-    n! / (k₁! k₂! …) over the multiplicities kᵢ of its orders.  The
+    G relabels the alternatives (m! permutations, the identity first) and
+    then may reverse every ballot, best class becoming worst: 2·m! rows,
+    row 0 the identity.  Read-only.  Relabeling or reversing a dense rank
+    row keeps it dense, so each image is an order, found by its rank row
+    read as m base-m digits.
+    """
+    orders = enumerate_weak_orders(m)
+    ranks = np.array([order.ranks for order in orders], dtype=np.int64)
+    digits = np.array([m**k for k in range(m - 1, -1, -1)])
+    # column g codes each rank row relabeled by the g-th permutation's inverse
+    weights = digits[list(itertools.permutations(range(m)))].T
+    relabeled = ranks @ weights
+    # reversal takes rank r to K - r, K the worst class
+    reversed_ = (ranks.max(axis=1, keepdims=True) - ranks) @ weights
+    lookup = np.full(m**m, -1, dtype=np.int64)
+    lookup[ranks @ digits] = np.arange(len(orders))
+    table = lookup[np.concatenate([relabeled, reversed_], axis=1).T]
+    table.flags.writeable = False
+    return table
+
+
+def _multiset_codes(picks: np.ndarray, base: int) -> np.ndarray:
+    """Each row of ``picks``' last axis, sorted, read as base-``base`` digits.
+
+    The codes keep the lexicographic order of the sorted rows.  Rows are
+    sorted by odd-even transposition: n rounds of compare-exchange on
+    alternate neighbouring columns sort any n columns, each exchange one
+    min/max over all rows at once.  ``np.sort`` pays a fixed cost per row,
+    several times the whole network on a sweep chunk's short rows.
+    """
+    n = picks.shape[-1]
+    cols = [picks[..., i] for i in range(n)]
+    for step in range(n):
+        for i in range(step % 2, n - 1, 2):
+            low, high = cols[i], cols[i + 1]
+            cols[i], cols[i + 1] = np.minimum(low, high), np.maximum(low, high)
+    codes = cols[0]
+    for col in cols[1:]:
+        codes = codes * base + col
+    return codes
+
+
+def _enumerate_orbits(m: int, n: int) -> Iterator[tuple[Profile, int]]:
+    """Each orbit of n-voter multisets under ``_symmetry_table(m)`` once, with its orderings.
+
+    A multiset is a nondecreasing tuple of ``enumerate_weak_orders(m)``
+    indices, and an orbit comes as its least such tuple, the first of its
+    members in ``combinations_with_replacement`` order and so the first
+    of its ordered profiles in ``enumerate_profiles(m, n)``.  Its weight
+    is the orbit's size times the multinomial n! / (k₁! k₂! …) over the
+    multiplicities kᵢ of its orders, which all its members share.  The
     weights sum to Wⁿ.  Guarded like ``enumerate_profiles``, before the
     first yield.
     """
     orders = _profile_space(m, n)
     names = default_alternative_names(m)
     orderings = math.factorial(n)
+    table = _symmetry_table(m)
 
     def stream() -> Iterator[tuple[Profile, int]]:
-        for picks in itertools.combinations_with_replacement(range(len(orders)), n):
-            repeats = math.prod(
-                math.factorial(len(list(run))) for _, run in itertools.groupby(picks)
-            )
-            yield Profile(names, tuple(orders[i] for i in picks)), orderings // repeats
+        multisets = itertools.combinations_with_replacement(range(len(orders)), n)
+        while chunk := list(itertools.islice(multisets, max(1, CHUNK_VOTERS // n))):
+            flat = np.fromiter(itertools.chain.from_iterable(chunk), np.int64, len(chunk) * n)
+            # the chunk's images under G: Wⁿ <= 10⁷, so the codes fit int64
+            images = _multiset_codes(table[:, flat.reshape(-1, n)], len(orders))
+            least = images[0] == images.min(axis=0)
+            # orbit-stabilizer: the orbit's size is |G| over the maps fixing its member
+            sizes = len(table) // (images[:, least] == images[0, least]).sum(axis=0)
+            representatives = itertools.compress(chunk, least.tolist())
+            for picks, size in zip(representatives, sizes.tolist()):
+                repeats = math.prod(
+                    math.factorial(len(list(run))) for _, run in itertools.groupby(picks)
+                )
+                yield Profile(names, tuple(orders[i] for i in picks)), size * orderings // repeats
 
     return stream()
 
@@ -308,22 +371,24 @@ class HarnessReport:
 def run_harness(config: HarnessConfig) -> HarnessReport:
     """Sweep profiles, cross-checking the condition against transitivity.
 
-    An exhaustive sweep decides each voter multiset once, on the profile
-    with its voters in nondecreasing order index, and adds the
-    multiset's number of orderings to every counter; a random sweep
-    decides and counts each drawn profile once.  Each decided profile
-    passes through the full condition decision and the majority rule.
+    An exhaustive sweep decides each orbit of voter multisets under
+    relabeling and reversal once, on its least multiset with the voters
+    in nondecreasing order index, and adds the orbit's number of ordered
+    profiles to every counter; a random sweep decides and counts each
+    drawn profile once.  Each decided profile passes through the full
+    condition decision and the majority rule.
     The stream is taken in chunks of ``CHUNK_VOTERS // n`` profiles, one
     at least: majority transitivity is decided for a whole chunk at once
     from its (profiles, voters, m) rank array, then the condition is
     decided and the outcomes counted profile by profile, in stream order.
     ``violations`` holds the first violating profiles in stream order;
-    for an exhaustive sweep, the order of ``enumerate_profiles``.
+    for an exhaustive sweep, the ordered profiles of the violating
+    orbits in the order of ``enumerate_profiles``.
     Raises InternalDisagreement if the three readings of a ballot shape
     ever split.
     """
     if config.mode is HarnessMode.EXHAUSTIVE:
-        stream = _enumerate_voter_multisets(config.m, config.n)
+        stream = _enumerate_orbits(config.m, config.n)
     else:
         stream = (
             (random_profile(config.m, config.n, config.seed, trial), 1)
@@ -360,18 +425,22 @@ def run_harness(config: HarnessConfig) -> HarnessReport:
 
 
 def _orderings_of(representatives: list[Profile], m: int, n: int) -> list[Profile]:
-    """Up to ``VIOLATION_CAP`` orderings of the representatives' multisets.
+    """Up to ``VIOLATION_CAP`` ordered profiles of the representatives' orbits.
 
     They come in ``enumerate_profiles(m, n)`` order.
 
     The sweep's first ``VIOLATION_CAP`` violating representatives
     suffice.  Each is itself a violating profile, and no profile
-    precedes its own representative; so when the cap is reached, each
-    of the first ``VIOLATION_CAP`` violating profiles, and its
+    precedes its own orbit's representative; so when the cap is reached,
+    each of the first ``VIOLATION_CAP`` violating profiles, and its
     representative too, comes no later than the last one kept.
     """
+    orders = enumerate_weak_orders(m)
+    index = {order: i for i, order in enumerate(orders)}
+    picks = [[index[voter] for voter in profile.voters] for profile in representatives]
+    images = _symmetry_table(m)[:, picks].reshape(-1, n)
     # sorted rank rows name a multiset, whatever order its voters come in
-    wanted = {tuple(sorted(profile.ranks)) for profile in representatives}
+    wanted = {tuple(sorted(orders[i].ranks for i in image)) for image in images.tolist()}
     matches = (
         profile
         for profile in enumerate_profiles(m, n)

@@ -31,8 +31,10 @@ from senvr.cli import main
 from senvr.harness import (
     CHUNK_VOTERS,
     VIOLATION_CAP,
-    _enumerate_voter_multisets,
+    _enumerate_orbits,
+    _multiset_codes,
     _sample_weak_order,
+    _symmetry_table,
     _weak_order_counts,
 )
 from senvr.majority import transitive_mask
@@ -49,6 +51,62 @@ def oracle_rank_vectors(m):
         if set(labels) == set(range(max(labels) + 1)):
             vectors.add(labels)
     return vectors
+
+
+def group(m):
+    """G: the m! relabelings of the alternatives, each then reversed or not.
+
+    Maps on rank vectors, built apart from the harness's table: a
+    relabeling moves alternative a to perm[a]; reversal turns class k of
+    an order with K classes into class K - 1 - k.
+    """
+    maps = []
+    for perm in itertools.permutations(range(m)):
+        for reverse in (False, True):
+
+            def g(ranks, perm=perm, reverse=reverse):
+                moved = [0] * m
+                for a, r in enumerate(ranks):
+                    moved[perm[a]] = r
+                top = max(moved)
+                return tuple(top - r for r in moved) if reverse else tuple(moved)
+
+            maps.append(g)
+    return maps
+
+
+def orbit_of(rows):
+    """The G-orbit of a voter multiset, each member as its sorted rank rows."""
+    m = len(rows[0])
+    return {tuple(sorted(g(r) for r in rows)) for g in group(m)}
+
+
+def burnside_orbit_count(m, n):
+    """The number of G-orbits of n-voter multisets, by Burnside's lemma.
+
+    A multiset is fixed by g iff its multiplicities are constant on each
+    cycle of g on the weak orders; those are counted as the ways to make
+    n from the cycle lengths.
+    """
+    vectors = sorted(oracle_rank_vectors(m))
+    position = {r: i for i, r in enumerate(vectors)}
+    maps = group(m)
+    total = 0
+    for g in maps:
+        image = [position[g(r)] for r in vectors]
+        fixed = [1] + [0] * n
+        unseen = set(range(len(vectors)))
+        while unseen:
+            start = unseen.pop()
+            length, i = 1, image[start]
+            while i != start:
+                unseen.remove(i)
+                length, i = length + 1, image[i]
+            for k in range(length, n + 1):
+                fixed[k] += fixed[k - length]
+        total += fixed[n]
+    assert total % len(maps) == 0
+    return total // len(maps)
 
 
 def test_oracle_self_check():
@@ -348,22 +406,22 @@ def test_sweep_chunks_hold_at_most_chunk_voters_ballots(monkeypatch, n, trials):
 
 
 def test_violations_list_the_orderings_of_a_violating_multiset(monkeypatch):
-    # the condition stubbed to hold on one intransitive multiset only, the
-    # voters of order index 0, 4 and 7: all six orderings are violations,
-    # in enumeration order, though the sweep decided the multiset once
+    # the condition stubbed to hold on one intransitive orbit only, that of
+    # the voters of order index 0, 4 and 7: the violations are the first
+    # ordered profiles of its multisets, in enumeration order, though the
+    # sweep decided the orbit once
     orders = enumerate_weak_orders(3)
-    multiset = sorted(orders[i].ranks for i in (0, 4, 7))
+    orbit = orbit_of(tuple(orders[i].ranks for i in (0, 4, 7)))
     monkeypatch.setattr(
         "senvr.harness.sen_condition",
-        lambda profile: SimpleNamespace(condition_holds=sorted(profile.ranks) == multiset),
+        lambda profile: SimpleNamespace(condition_holds=tuple(sorted(profile.ranks)) in orbit),
     )
     report = run_harness(HarnessConfig(m=3, n=3, mode=HarnessMode.EXHAUSTIVE))
-    names = default_alternative_names(3)
-    assert report.violations == tuple(
-        Profile(names, tuple(orders[i] for i in picks))
-        for picks in itertools.permutations((0, 4, 7))
-    )
-    assert report.condition_held_count == 6
+    members = [p for p in enumerate_profiles(3, 3) if tuple(sorted(p.ranks)) in orbit]
+    assert report.violations == tuple(members[:VIOLATION_CAP])
+    # the listed profiles span more than the representative's multiset
+    assert len({tuple(sorted(p.ranks)) for p in report.violations}) > 1
+    assert report.condition_held_count == len(members) == 72
     assert report.condition_held_and_transitive_count == 0
 
 
@@ -382,6 +440,34 @@ def test_violations_past_the_first_unsorted_profile_keep_stream_order(monkeypatc
     assert report.violations == tuple(intransitive[:25])
     orders = enumerate_weak_orders(3)
     assert [orders.index(v) for v in report.violations[12].voters] == [0, 7, 4]
+
+
+def test_violations_come_from_the_orbit_whose_least_member_comes_first(monkeypatch):
+    # two intransitive orbits whose least members come in the opposite
+    # order to their greatest: under a cap of one, the violation is the
+    # first ordered profile of either, (1, 2, 11), which needs each orbit
+    # decided on its least member
+    orders = enumerate_weak_orders(3)
+    position = {order.ranks: i for i, order in enumerate(orders)}
+
+    def members(picks):
+        rows = tuple(orders[i].ranks for i in picks)
+        return sorted(tuple(sorted(position[r] for r in image)) for image in orbit_of(rows))
+
+    first, second = members((1, 2, 11)), members((1, 3, 12))
+    assert first[0] < second[0] and first[-1] > second[-1]
+    stubbed = set(first) | set(second)
+    monkeypatch.setattr("senvr.harness.VIOLATION_CAP", 1)
+    monkeypatch.setattr(
+        "senvr.harness.sen_condition",
+        lambda profile: SimpleNamespace(
+            condition_holds=tuple(sorted(position[r] for r in profile.ranks)) in stubbed
+        ),
+    )
+    report = run_harness(HarnessConfig(m=3, n=3, mode=HarnessMode.EXHAUSTIVE))
+    names = default_alternative_names(3)
+    assert report.violations == (Profile(names, tuple(orders[i] for i in (1, 2, 11))),)
+    assert report.condition_held_and_transitive_count == 0
 
 
 def counts(report):
@@ -433,19 +519,29 @@ def test_exhaustive_sweep_counts_are_pinned(m, n, expected):
 
 @pytest.mark.parametrize("m, n", [(3, 1), (3, 3), (3, 5), (4, 2), (5, 1)])
 def test_voter_multisets_come_once_weighted_by_their_orderings(m, n):
-    multisets = list(_enumerate_voter_multisets(m, n))
+    # the orbit stream: every multiset lies in exactly one yielded orbit,
+    # which comes as its least member, and the weights count the orderings
+    orbits = list(_enumerate_orbits(m, n))
     orders = enumerate_weak_orders(m)
     w = len(orders)
-    assert len(multisets) == math.comb(w + n - 1, n)
-    assert sum(weight for _, weight in multisets) == w**n
-    for profile, _ in multisets:
-        picks = [orders.index(voter) for voter in profile.voters]
-        assert picks == sorted(picks)
+    position = {order.ranks: i for i, order in enumerate(orders)}
+    assert len(orbits) == burnside_orbit_count(m, n)
+    assert sum(weight for _, weight in orbits) == w**n
+    covered = set()
+    for profile, _ in orbits:
+        members = {tuple(sorted(position[r] for r in rows)) for rows in orbit_of(profile.ranks)}
+        assert tuple(position[r] for r in profile.ranks) == min(members)
+        assert not members & covered
+        covered |= members
+    assert len(covered) == math.comb(w + n - 1, n)
 
 
 def test_voter_multiset_weights_count_the_ordered_profiles():
-    orderings = Counter(tuple(sorted(p.ranks)) for p in enumerate_profiles(3, 4))
-    weights = {tuple(sorted(p.ranks)): w for p, w in _enumerate_voter_multisets(3, 4)}
+    multisets = Counter(tuple(sorted(p.ranks)) for p in enumerate_profiles(3, 4))
+    orderings = Counter()
+    for rows, count in multisets.items():
+        orderings[min(orbit_of(rows))] += count
+    weights = {min(orbit_of(p.ranks)): w for p, w in _enumerate_orbits(3, 4)}
     assert weights == orderings
 
 
@@ -455,14 +551,17 @@ def test_voter_multisets_are_refused_like_enumerate_profiles(m, n):
     with pytest.raises(ValueError) as expected:
         enumerate_profiles(m, n)
     with pytest.raises(type(expected.value), match=f"^{re.escape(str(expected.value))}$"):
-        _enumerate_voter_multisets(m, n)
+        _enumerate_orbits(m, n)
 
 
 def test_verdicts_do_not_depend_on_voter_order():
-    # the premise of the multiset sweep, on every m=3, n=3 profile
-    representatives = {
-        tuple(sorted(p.ranks)): p for p, _ in _enumerate_voter_multisets(3, 3)
-    }
+    # the premise of deciding a multiset once, on every m=3, n=3 profile
+    orders = enumerate_weak_orders(3)
+    names = default_alternative_names(3)
+    representatives = {}
+    for picks in itertools.combinations_with_replacement(range(len(orders)), 3):
+        profile = Profile(names, tuple(orders[i] for i in picks))
+        representatives[tuple(sorted(profile.ranks))] = profile
     held = {key: sen_condition(p).condition_holds for key, p in representatives.items()}
     profiles = list(enumerate_profiles(3, 3))
     keys = [tuple(sorted(p.ranks)) for p in profiles]
@@ -470,6 +569,95 @@ def test_verdicts_do_not_depend_on_voter_order():
     ordered = transitive_mask(np.array([p.ranks for p in profiles]))
     representative = transitive_mask(np.array([representatives[k].ranks for k in keys]))
     assert ordered.tolist() == representative.tolist()
+
+
+# G's generators as maps on rank vectors: a transposition, the m-cycle, reversal
+GENERATORS = (
+    lambda ranks: (ranks[1], ranks[0], *ranks[2:]),
+    lambda ranks: (*ranks[1:], ranks[0]),
+    lambda ranks: tuple(max(ranks) - r for r in ranks),
+)
+
+
+@pytest.mark.parametrize("m, n", [(3, 1), (3, 2), (3, 3), (4, 1), (4, 2)])
+def test_verdicts_do_not_change_under_relabeling_or_reversal(m, n):
+    # the premise of deciding an orbit once, on every ordered profile
+    orders = enumerate_weak_orders(m)
+    names = default_alternative_names(m)
+    profiles = list(enumerate_profiles(m, n))
+    held = [sen_condition(p).condition_holds for p in profiles]
+    transitive = transitive_mask(np.array([p.ranks for p in profiles])).tolist()
+    assert 0 < sum(held) < len(held)
+    for g in GENERATORS:
+        image = {order: WeakOrder.from_ranks(g(order.ranks)) for order in orders}
+        assert set(image.values()) == set(orders)
+        assert any(image[order] != order for order in orders)
+        moved = [Profile(names, tuple(image[v] for v in p.voters)) for p in profiles]
+        assert [sen_condition(p).condition_holds for p in moved] == held
+        assert transitive_mask(np.array([p.ranks for p in moved])).tolist() == transitive
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_symmetry_table_rows_are_permutations_with_the_identity_first(m):
+    table = _symmetry_table(m)
+    w = count_weak_orders(m)
+    assert table.shape == (2 * math.factorial(m), w)
+    assert table.dtype == np.int64
+    assert not table.flags.writeable
+    assert table[0].tolist() == list(range(w))
+    assert (np.sort(table, axis=1) == np.arange(w)).all()
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_symmetry_table_rows_are_the_group_closed_under_composition(m):
+    # the rows are the 2·m! maps of relabeling and reversal, built here
+    # apart from the table, and each composition of two rows is a row
+    table = _symmetry_table(m)
+    orders = enumerate_weak_orders(m)
+    position = {order.ranks: i for i, order in enumerate(orders)}
+    rows = {tuple(row) for row in table.tolist()}
+    expected = {tuple(position[g(order.ranks)] for order in orders) for g in group(m)}
+    assert len(rows) == len(expected) == 2 * math.factorial(m)
+    assert rows == expected
+    stored = {row.tobytes() for row in table}
+    for row in table:
+        assert {composed.tobytes() for composed in row[table]} <= stored
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_multiset_codes_read_each_row_sorted(n):
+    # random rows and a descending one, the network's worst case, on two
+    # leading axes as the sweep passes them
+    rng = np.random.default_rng(n)
+    rows = np.concatenate([rng.integers(0, 13, (500, n)), np.arange(12, 12 - n, -1)[None, :]])
+    picks = np.stack([rows, rows[::-1]])
+    digits = 13 ** np.arange(n - 1, -1, -1)
+    assert (_multiset_codes(picks, 13) == np.sort(picks, axis=-1) @ digits).all()
+
+
+@pytest.mark.parametrize(
+    "m, n, orbits",
+    [(3, 1, 3), (3, 2, 14), (3, 3, 52), (3, 4, 185), (3, 5, 577),
+     (4, 1, 6), (4, 2, 97), (4, 3, 1753)],
+)
+def test_burnside_counts_the_orbits(m, n, orbits):
+    assert burnside_orbit_count(m, n) == orbits
+
+
+def test_held_multisets_at_even_n_equal_those_at_the_odd_n_below():
+    # at m=3 a held profile with n even has an odd, so nonzero, number of
+    # totally indifferent voters: removing one is a bijection onto the held
+    # multisets of n - 1 voters.  Ordered counts weigh the two sides apart.
+    orders = enumerate_weak_orders(3)
+    names = default_alternative_names(3)
+    held = [
+        sum(
+            sen_condition(Profile(names, tuple(orders[i] for i in picks))).condition_holds
+            for picks in itertools.combinations_with_replacement(range(len(orders)), n)
+        )
+        for n in range(1, 7)
+    ]
+    assert held == [12, 12, 324, 324, 2598, 2598]
 
 
 @pytest.fixture
@@ -485,10 +673,11 @@ def decided(monkeypatch):
     return profiles
 
 
-def test_exhaustive_verify_decides_each_voter_multiset_once(decided, capsys):
+def test_exhaustive_verify_decides_each_orbit_once(decided, capsys):
     assert main(["verify", "--exhaustive", "--m", "3", "--n", "3"]) == 0
     assert "profiles tested: 2197\n" in capsys.readouterr().out
-    assert len(decided) == 455
+    assert len(decided) == burnside_orbit_count(3, 3) == 52
+    assert len(set(decided)) == len(decided)
 
 
 def test_random_sweep_decides_each_trial_once_in_stream_order(decided):

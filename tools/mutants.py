@@ -40,10 +40,9 @@ PROFILE_IO = "src/senvr/profile_io.py"
 T_COND = "tests/test_condition.py::"
 SEEDED_PARITY = T_COND + "test_array_pass_matches_the_loop_on_seeded_profiles"
 LARGE_GOLDEN = "tests/test_golden.py::test_check_large_output_matches_golden_digest"
-PINNED_DRAWS = "tests/test_harness.py::test_random_profile_draws_are_pinned"
-SAMPLER_SPEC = (
-    "tests/test_harness.py::test_sampler_draws_and_leaves_the_generator_as_the_specification"
-)
+T_HARNESS = "tests/test_harness.py::"
+PINNED_DRAWS = T_HARNESS + "test_random_profile_draws_are_pinned"
+SAMPLER_SPEC = T_HARNESS + "test_sampler_draws_and_leaves_the_generator_as_the_specification"
 
 
 @dataclass(frozen=True)
@@ -127,23 +126,77 @@ MUTANTS = (
     Mutant(
         "multiset-weight-1",
         HARNESS,
+        "yield Profile(names, tuple(orders[i] for i in picks)), size * orderings // repeats",
+        "yield Profile(names, tuple(orders[i] for i in picks)), size",
+        (T_HARNESS + "test_exhaustive_sweep_counts_are_pinned",),
+    ),
+    Mutant(
+        "orbit-size-dropped",
+        HARNESS,
+        "yield Profile(names, tuple(orders[i] for i in picks)), size * orderings // repeats",
         "yield Profile(names, tuple(orders[i] for i in picks)), orderings // repeats",
-        "yield Profile(names, tuple(orders[i] for i in picks)), 1",
-        ("tests/test_harness.py::test_exhaustive_sweep_counts_are_pinned",),
+        (
+            T_HARNESS + "test_exhaustive_sweep_counts_are_pinned",
+            T_HARNESS + "test_voter_multisets_come_once_weighted_by_their_orderings",
+        ),
+    ),
+    Mutant(
+        "stabilizer-counts-every-map",
+        HARNESS,
+        "(images[:, least] == images[0, least])",
+        "(images[:, least] >= images[0, least])",
+        (T_HARNESS + "test_exhaustive_sweep_counts_are_pinned",),
+    ),
+    # the two below keep every count right: only the stream's shape shows them
+    Mutant(
+        "reversal-dropped",
+        HARNESS,
+        "np.concatenate([relabeled, reversed_], axis=1)",
+        "np.concatenate([relabeled], axis=1)",
+        (
+            T_HARNESS + "test_symmetry_table_rows_are_permutations_with_the_identity_first",
+            T_HARNESS + "test_symmetry_table_rows_are_the_group_closed_under_composition",
+            T_HARNESS + "test_voter_multisets_come_once_weighted_by_their_orderings",
+            T_HARNESS + "test_exhaustive_verify_decides_each_orbit_once",
+        ),
+    ),
+    Mutant(
+        "representative-is-max",
+        HARNESS,
+        "least = images[0] == images.min(axis=0)",
+        "least = images[0] == images.max(axis=0)",
+        (
+            T_HARNESS + "test_voter_multisets_come_once_weighted_by_their_orderings",
+            T_HARNESS + "test_violations_come_from_the_orbit_whose_least_member_comes_first",
+        ),
+    ),
+    Mutant(
+        "sorting-network-round-short",
+        HARNESS,
+        "for step in range(n):",
+        "for step in range(n - 1):",
+        (T_HARNESS + "test_multiset_codes_read_each_row_sorted",),
     ),
     Mutant(
         "orderings-bypassed",
         HARNESS,
         "violations = _orderings_of(violations, config.m, config.n)",
         "violations = violations",
-        ("tests/test_harness.py::test_violations_list_the_orderings_of_a_violating_multiset",),
+        (T_HARNESS + "test_violations_list_the_orderings_of_a_violating_multiset",),
+    ),
+    Mutant(
+        "orbit-expansion-dropped",
+        HARNESS,
+        "images = _symmetry_table(m)[:, picks].reshape(-1, n)",
+        "images = _symmetry_table(m)[:1, picks].reshape(-1, n)",
+        (T_HARNESS + "test_violations_list_the_orderings_of_a_violating_multiset",),
     ),
     Mutant(
         "chunk-bound-ignores-voters",
         HARNESS,
         "size = max(1, CHUNK_VOTERS // config.n)",
         "size = max(1, CHUNK_VOTERS)",
-        ("tests/test_harness.py::test_sweep_chunks_hold_at_most_chunk_voters_ballots",),
+        (T_HARNESS + "test_sweep_chunks_hold_at_most_chunk_voters_ballots",),
     ),
     Mutant(
         "sampler-uniform-class-counts",
