@@ -25,6 +25,8 @@ a triple read through the reference representations, and each shape's
 three readings are compared there, so they cannot split on any triple;
 total indifference is empty in it, as unconcerned voters add nothing to
 the sums.  A triple then costs one count per shape that occurs.
+The triples over m alternatives, and their members as an index array,
+are likewise built once per m, not once per profile.
 A profile of at least ``ARRAY_MIN_VOTER_TRIPLES`` voter-triples is
 decided over its rank matrix, a block of triples at a time: one
 ``bincount`` counts every triple's shape codes and one product with the
@@ -39,7 +41,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -311,10 +312,12 @@ def _triple_report(
 
 
 # Profiles with at least this many voter-triples, C(m, 3) * n, are decided
-# by the array pass.  Its fixed cost, some 25-40 us of NumPy calls, exceeds
-# the whole per-triple loop below this size: the two break even at about
-# 36 voter-triples for m >= 4 and about 64 for m = 3.  Exhaustive sweeps
-# decide many profiles of 3 voter-triples each, so they stay on the loop.
+# by the array pass.  Its fixed cost, some 18 us of NumPy calls, exceeds
+# the whole per-triple loop below this size (m = 3, n = 3: 18 us against
+# 5 us): the two break even at about 30 voter-triples for m >= 4 and about
+# 75 for m = 3, and 64 loses a few us at most on either side.  Exhaustive
+# sweeps decide many profiles of 3 voter-triples each, so they stay on
+# the loop.
 ARRAY_MIN_VOTER_TRIPLES = 64
 
 # The array pass works on blocks of triples with about this many cells in
@@ -324,22 +327,40 @@ ARRAY_MIN_VOTER_TRIPLES = 64
 _BLOCK_CELLS = 1 << 13
 
 
+# bounded: an entry holds C(m, 3) triples, and a process rarely decides
+# profiles over more than a few alternative counts
+@lru_cache(maxsize=16)
+def _triple_layout(m: int) -> tuple[tuple[Triple, ...], np.ndarray]:
+    """The triples over m >= 3 alternatives, ascending, and their members.
+
+    Returns ``tuple(triples(m))`` and the read-only 3 x C(m, 3) array whose
+    column t holds the members of triple t, so a block of triples is a
+    slice of both.
+    """
+    layout = tuple(triples(m))
+    members = np.array([triple.members for triple in layout], dtype=np.intp).T.copy()
+    members.setflags(write=False)
+    return layout, members
+
+
 def _array_reports(profile: Profile, table: np.ndarray) -> tuple[TripleReport, ...]:
     """Decide every triple by counting shape codes over the rank matrix.
 
-    Per block of triples, the voters x triples shape codes are counted
-    in one ``bincount`` over codes offset by 27 per triple, and the
-    counts times the ``table`` matrix of :func:`_shape_table` give the sums.
+    Per block of triples, a slice of :func:`_triple_layout`, the voters x
+    triples shape codes are counted in one ``bincount`` over codes offset
+    by 27 per triple, and the counts times the ``table`` matrix of
+    :func:`_shape_table` give the sums.
     """
     n = profile.num_voters
     ranks = np.array(profile.ranks).T  # alternatives x voters
     everyone = tuple(range(n))
     size = max(1, _BLOCK_CELLS // max(n, 27))
-    remaining = triples(profile.num_alternatives)
+    layout, members = _triple_layout(profile.num_alternatives)
     reports: list[TripleReport] = []
-    while block := list(itertools.islice(remaining, size)):
+    for start in range(0, len(layout), size):
+        block = layout[start : start + size]
         # a, b, c: the members' ranks, triples x voters each
-        a, b, c = ranks[np.array([triple.members for triple in block]).T]
+        a, b, c = ranks[members[:, start : start + size]]
         codes = 9 * np.sign(a - b) + 3 * np.sign(b - c) + np.sign(a - c) + _UNCONCERNED
         offsets = np.arange(0, 27 * len(block), 27)[:, None]
         counts = np.bincount((codes + offsets).ravel(), minlength=27 * len(block))
@@ -362,17 +383,19 @@ def sen_condition(profile: Profile) -> SenVerdict:
     qualitative readings were compared when it was built.  A profile of at
     least ``ARRAY_MIN_VOTER_TRIPLES`` voter-triples is decided a block of
     triples at a time over its rank matrix; a smaller one, triple by
-    triple, in one pass over its voters' shape codes.  The condition
-    holds iff every triple is value-restricted and has an odd number of
-    concerned voters.
+    triple, in one pass over its voters' shape codes.  Both walk the one
+    :func:`_triple_layout` of m, built on the first profile over m
+    alternatives.  The condition holds iff every triple is value-restricted
+    and has an odd number of concerned voters.
     """
     m = profile.num_alternatives
     if m < 3:
         raise ValueError("the condition is defined for at least 3 alternatives")
     rows, table = _shape_table()
+    layout, _ = _triple_layout(m)
     ranks = profile.ranks
-    if len(ranks) * math.comb(m, 3) >= ARRAY_MIN_VOTER_TRIPLES:
+    if len(ranks) * len(layout) >= ARRAY_MIN_VOTER_TRIPLES:
         return SenVerdict(_array_reports(profile, table))
     return SenVerdict(
-        tuple(_triple_report(triple, _shape_codes(ranks, triple), rows) for triple in triples(m))
+        tuple(_triple_report(triple, _shape_codes(ranks, triple), rows) for triple in layout)
     )

@@ -440,6 +440,15 @@ def test_shape_table_is_the_shape_rows_with_the_unconcerned_row_zero():
     assert rows[13] == ()
 
 
+@pytest.mark.parametrize("m", range(3, 13))
+def test_triple_layout_is_every_triple_with_its_members_as_columns(m):
+    layout, members = senvr.condition._triple_layout(m)
+    assert layout == tuple(triples(m))
+    assert members.shape == (3, math.comb(m, 3))
+    assert not members.flags.writeable
+    assert [tuple(column) for column in members.T.tolist()] == [t.members for t in layout]
+
+
 def test_sen_condition_restricts_only_the_table_orders(monkeypatch):
     # the table is built from the 13 orders over (0, 1, 2); no voter is
     # restricted, however many voters and triples the profile has

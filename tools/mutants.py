@@ -82,6 +82,13 @@ MUTANTS = (
         (SEEDED_PARITY, LARGE_GOLDEN),
     ),
     Mutant(
+        "layout-columns-shifted",
+        CONDITION,
+        "ranks[members[:, start : start + size]]",
+        "ranks[members[:, start + 1 : start + size + 1]]",
+        (SEEDED_PARITY, LARGE_GOLDEN),
+    ),
+    Mutant(
         "sign-flip",
         CONDITION,
         "9 * np.sign(a - b)",
@@ -217,6 +224,13 @@ MUTANTS = (
         HARNESS,
         "bits = (i + 1).bit_length()",
         "bits = i.bit_length()",
+        (PINNED_DRAWS, SAMPLER_SPEC),
+    ),
+    Mutant(
+        "memo-key-drops-placement",
+        HARNESS,
+        "_sampled_order(tuple(map(placement.__getitem__, labels)), k)",
+        "_sampled_order(tuple(labels), k)",
         (PINNED_DRAWS, SAMPLER_SPEC),
     ),
     Mutant(
