@@ -10,7 +10,11 @@ request; 3 condition asserted but not satisfied; 4 harness violation or
 checker disagreement; 141 stdout closed by its reader.
 
 Each command builds one report, the payload that ``--json`` prints; the
-text report is a rendering of that payload.
+text report is a rendering of that payload.  The per-triple entries of
+``check`` and the per-voter entries of ``pm`` are built lazily and each
+report, JSON or text, is written to stdout one entry at a time, so that
+memory holds the profile and one entry rather than the whole report.
+``check`` decides everything that can fail before its first write.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import dataclasses
 import math
 import os
 import sys
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -88,9 +92,26 @@ def _dump(value: object, indent: str = "\n", table: _IntText | None = None) -> s
     joins a list of plain ints in one step, rendering each distinct int
     once per top-level call through ``table``.  ``indent`` is the newline
     and indentation that precede ``value``'s closing bracket.
+
+    At the top level only, an iterator may stand for a list as one of
+    the values of a dict ``value``.  Its items are written to
+    ``sys.stdout`` one at a time, each after all the text that precedes
+    it, so that a report need not be held whole.  The text after the
+    last streamed item is returned, for the caller to write.
     """
     if table is None:
         table = _IntText()
+        if type(value) is dict and value:
+            inner = indent + "  "
+            head, separator = "", "{" + inner
+            for key, item in value.items():
+                head += separator + encode_basestring_ascii(key) + ": "
+                separator = "," + inner
+                if isinstance(item, Iterator):
+                    head = _stream(head, item, inner, table)
+                else:
+                    head += _dump(item, inner, table)
+            return head + indent + "}"
     if value is None:
         return "null"
     if value is True:
@@ -123,6 +144,25 @@ def _dump(value: object, indent: str = "\n", table: _IntText | None = None) -> s
         )
         return "{" + inner + ("," + inner).join(items) + indent + "}"
     raise TypeError(f"{kind.__name__} is not a report value")
+
+
+_END = object()  # marks an exhausted iterator
+
+
+def _stream(head: str, items: Iterator, indent: str, table: _IntText) -> str:
+    """Write ``head`` and the list ``items`` up to its last item; return the rest.
+
+    An empty ``items`` writes nothing and returns ``head + "[]"``.
+    """
+    first = next(items, _END)
+    if first is _END:
+        return head + "[]"
+    inner = indent + "  "
+    write = sys.stdout.write
+    write(head + "[" + inner + _dump(first, inner, table))
+    for item in items:
+        write("," + inner + _dump(item, inner, table))
+    return indent + "]"
 
 
 # --- check -----------------------------------------------------------------
@@ -199,14 +239,13 @@ def _render_triple(triple: dict) -> list[str]:
 
 
 def _render_check(payload: dict, num_voters: int) -> str:
+    """The text report: written to ``sys.stdout`` up to its last triple, the rest returned."""
     names = payload["alternatives"]
-    lines = [
-        f"profile: {len(names)} alternatives ({', '.join(names)}), {num_voters} voters",
-        "",
-    ]
+    write = sys.stdout.write
+    write(f"profile: {len(names)} alternatives ({', '.join(names)}), {num_voters} voters\n\n")
     for triple in payload["triples"]:
-        lines.extend(_render_triple(triple))
-    lines.append("")
+        write("\n".join(_render_triple(triple)) + "\n")
+    lines = [""]
     if payload["condition_holds"]:
         lines.append(
             "condition holds (every triple value-restricted, "
@@ -242,7 +281,8 @@ def cmd_check(args: argparse.Namespace) -> int:
     tally = pairwise_tallies(profile)
     payload = {
         "alternatives": list(profile.alternative_names),
-        "triples": [_triple_payload(profile, r) for r in verdict.per_triple],
+        # rendered one triple at a time as the report is written
+        "triples": (_triple_payload(profile, r) for r in verdict.per_triple),
         "condition_holds": verdict.condition_holds,
         "tallies": tally.prefer.tolist(),
         "social": _social_payload(profile, social_ordering(majority_relation(tally))),
@@ -259,23 +299,37 @@ def cmd_check(args: argparse.Namespace) -> int:
 # --- pm --------------------------------------------------------------------
 
 
+def _voter_payload(index: int, order: WeakOrder, names: list[str]) -> dict:
+    pm = preference_map(order)
+    return {
+        "voter": index,
+        "ordering": ballot_groups(order, names),
+        "preference_map": {names[alt]: sorted(row) for alt, row in enumerate(pm.rows)},
+        "membership_matrix": membership_map(pm).entries.tolist(),
+    }
+
+
+def _render_voter(voter: dict) -> list[str]:
+    return [
+        "",
+        f"voter {voter['voter']}: {format_ballot(voter['ordering'])}",
+        "  preference map:",
+        *(f"    {name}: {_format_set(row)}" for name, row in voter["preference_map"].items()),
+        "  membership matrix:",
+        *("    " + " ".join(str(v) for v in row) for row in voter["membership_matrix"]),
+    ]
+
+
 def _render_pm(payload: dict) -> str:
+    """The text report: written to ``sys.stdout`` whole; nothing is returned."""
     lines = [f"alternatives: {' '.join(payload['alternatives'])}"]
     if payload["triple"] is not None:
         lines.append(f"triple: ({', '.join(payload['triple'])})")
+    write = sys.stdout.write
+    write("\n".join(lines))
     for voter in payload["voters"]:
-        lines.append("")
-        lines.append(f"voter {voter['voter']}: {format_ballot(voter['ordering'])}")
-        lines.append("  preference map:")
-        lines.extend(
-            f"    {name}: {_format_set(row)}"
-            for name, row in voter["preference_map"].items()
-        )
-        lines.append("  membership matrix:")
-        lines.extend(
-            "    " + " ".join(str(v) for v in row) for row in voter["membership_matrix"]
-        )
-    return "\n".join(lines)
+        write("\n" + "\n".join(_render_voter(voter)))
+    return ""
 
 
 def cmd_pm(args: argparse.Namespace) -> int:
@@ -285,33 +339,24 @@ def cmd_pm(args: argparse.Namespace) -> int:
         triple = profile.triple_of_names([t.strip() for t in args.triple.split(",")])
     if triple is None:
         local_names = list(profile.alternative_names)
+        orders = profile.voters
     else:
         local_names = [profile.name_of(alt) for alt in triple]
+        orders = (restrict(voter, triple) for voter in profile.voters)
     n, k = profile.num_voters, len(local_names)
     if n * k * k > MAX_MEMBERSHIP_CELLS:
         raise ValueError(
             f"{n}*{k}^2 = {n * k * k} membership cells exceed "
             f"the limit of {MAX_MEMBERSHIP_CELLS}"
         )
-
-    voters = []
-    for index, voter in enumerate(profile.voters, start=1):
-        order = voter if triple is None else restrict(voter, triple)
-        pm = preference_map(order)
-        voters.append(
-            {
-                "voter": index,
-                "ordering": ballot_groups(order, local_names),
-                "preference_map": {
-                    local_names[alt]: sorted(row) for alt, row in enumerate(pm.rows)
-                },
-                "membership_matrix": membership_map(pm).entries.tolist(),
-            }
-        )
     payload = {
         "alternatives": list(profile.alternative_names),
         "triple": None if triple is None else local_names,
-        "voters": voters,
+        # rendered one voter at a time as the report is written
+        "voters": (
+            _voter_payload(index, order, local_names)
+            for index, order in enumerate(orders, start=1)
+        ),
     }
     print(_dump(payload) if args.json else _render_pm(payload))
     return 0

@@ -1,14 +1,16 @@
 """Byte-for-byte goldens of whole CLI runs, pinned across versions.
 
 The files under ``tests/golden/`` are the exact stdout of each command.
-The two ``check`` reports on the 10 x 301 profile are about 538 KB
-(JSON) and 34 KB (text), so only their byte length and sha256 are
-committed.  The profile itself was written by ``bench/generate.py``
-with ``generate(10, 301, 11)``.
+The ``check`` reports on the 10 x 301 profile are about 538 KB (JSON)
+and 34 KB (text), and the ``pm`` reports 732 KB (JSON) and 147 KB
+(text), so only their byte length and sha256 are committed.  The
+profile itself was written by ``bench/generate.py`` with
+``generate(10, 301, 11)``.
 """
 
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -91,3 +93,47 @@ def test_check_large_output_matches_golden_digest(capsys):
 def test_check_large_text_matches_golden_digest(capsys):
     assert main(["check", LARGE]) == 0
     _assert_digest(capsys.readouterr().out, "check_text_large_10x301.digest.json")
+
+
+def test_pm_large_output_matches_golden_digest(capsys):
+    assert main(["pm", "--json", LARGE]) == 0
+    _assert_digest(capsys.readouterr().out, "pm_large_10x301.digest.json")
+
+
+def test_pm_large_text_matches_golden_digest(capsys):
+    assert main(["pm", LARGE]) == 0
+    _assert_digest(capsys.readouterr().out, "pm_text_large_10x301.digest.json")
+
+
+class _WriteRecorder:
+    """A stdout that keeps each write apart."""
+
+    def __init__(self) -> None:
+        self.writes: list[str] = []
+
+    def write(self, text: str) -> int:
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+@pytest.mark.parametrize(
+    "argv, digest_file",
+    [
+        (["check", "--json", LARGE], "check_large_10x301.digest.json"),
+        (["check", LARGE], "check_text_large_10x301.digest.json"),
+        (["pm", "--json", LARGE], "pm_large_10x301.digest.json"),
+        (["pm", LARGE], "pm_text_large_10x301.digest.json"),
+    ],
+    ids=["check-json", "check-text", "pm-json", "pm-text"],
+)
+def test_large_reports_are_written_a_triple_or_voter_at_a_time(monkeypatch, argv, digest_file):
+    # the largest triple of this profile takes about 4.6 KB of JSON, a voter
+    # less; a report held whole would be written in one piece of 34-732 KB
+    stdout = _WriteRecorder()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(argv) == 0
+    _assert_digest("".join(stdout.writes), digest_file)
+    assert max(map(len, stdout.writes)) <= 8 * 1024

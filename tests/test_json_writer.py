@@ -5,9 +5,14 @@ list, str, int, bool, None), so the property is checked over recursive
 values built from those, with the strings, ints and empty containers on
 which an encoder is most likely to slip.  The writer renders each
 distinct int once per call, so values are also drawn from a small range
-in which they repeat across the lists of one value.
+in which they repeat across the lists of one value.  As the values of
+a top-level dict the writer also takes iterators in place of lists and
+writes their items to stdout as it goes; the edge cases hold such
+values too.
 """
 
+import contextlib
+import io
 import json
 
 import pytest
@@ -40,6 +45,26 @@ VALUES = st.recursive(
     ),
     max_leaves=40,
 )
+
+
+class Iterated(list):
+    """A list that is handed to the writer as an iterator over its items."""
+
+
+def _as_given(value):
+    # the writer takes iterators as the values of a top-level dict only
+    if type(value) is dict:
+        return {key: iter(item) if isinstance(item, Iterated) else item
+                for key, item in value.items()}
+    return value
+
+
+def _written(value) -> str:
+    """What ``_dump`` writes to stdout, then the text it returns."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        tail = _dump(_as_given(value))
+    return out.getvalue() + tail
 
 
 @given(VALUES)
@@ -77,16 +102,30 @@ def test_dump_keeps_no_state_between_calls(first, second):
         {"": {"": []}},
         [2**64, -(2**64), -1, 0],
         ["\ud800", '"\\', "\x00\x1f\x7f", "é中\U0001f600"],
+        # iterators: empty, one item, many items; json.dumps reads each as
+        # the list it iterates over
+        {"a": Iterated()},
+        {"a": Iterated([1])},
+        {"a": Iterated([[1, True], {"a": [0, False]}, "x", None, 2**64, [], {}])},
+        {"a": Iterated(), "b": 1},
+        {"a": Iterated([{"b": [1, 1]}]), "c": [1, True]},
+        {"a": 1, "b": Iterated([[True], 1, {}, [1, 1]]), "c": Iterated(), "d": Iterated(["é"])},
+        {"a": Iterated([[0, 0], [False, 0]]), "b": Iterated([0, False])},
     ],
 )
 def test_dump_matches_json_dumps_on_edge_cases(value):
-    text = _dump(value)
+    text = _written(value)
     assert text == json.dumps(value, indent=2)
-    assert _dump(value) == text
+    assert _written(value) == text
 
 
 @pytest.mark.parametrize(
-    "value", [1.5, [1, 2.0], (1, 2), {"a": (1,)}, {1: "a"}, {None: 1}, b"x"]
+    "value",
+    [
+        1.5, [1, 2.0], (1, 2), {"a": (1,)}, {1: "a"}, {None: 1}, b"x",
+        # an iterator is taken as the value of a top-level dict only
+        iter([1]), [iter([1])], {"a": {"b": iter([])}},
+    ],
 )
 def test_dump_rejects_what_no_report_holds(value):
     with pytest.raises(TypeError):

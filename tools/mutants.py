@@ -40,6 +40,8 @@ PROFILE_IO = "src/senvr/profile_io.py"
 T_COND = "tests/test_condition.py::"
 SEEDED_PARITY = T_COND + "test_array_pass_matches_the_loop_on_seeded_profiles"
 LARGE_GOLDEN = "tests/test_golden.py::test_check_large_output_matches_golden_digest"
+WRITER_EDGES = "tests/test_json_writer.py::test_dump_matches_json_dumps_on_edge_cases"
+WRITTEN_IN_PIECES = "tests/test_golden.py::test_large_reports_are_written_a_triple_or_voter_at_a_time"
 T_HARNESS = "tests/test_harness.py::"
 PINNED_DRAWS = T_HARNESS + "test_random_profile_draws_are_pinned"
 SAMPLER_SPEC = T_HARNESS + "test_sampler_draws_and_leaves_the_generator_as_the_specification"
@@ -238,7 +240,28 @@ MUTANTS = (
         CLI,
         "if set(map(type, value)) == {int}:",
         "if set(map(type, value)) <= {int, bool}:",
-        ("tests/test_json_writer.py::test_dump_matches_json_dumps_on_edge_cases",),
+        (WRITER_EDGES,),
+    ),
+    Mutant(
+        "streamed-first-item-separated",
+        CLI,
+        'write(head + "[" + inner + _dump(first, inner, table))',
+        'write(head + "[," + inner + _dump(first, inner, table))',
+        (WRITER_EDGES, LARGE_GOLDEN, WRITTEN_IN_PIECES),
+    ),
+    Mutant(
+        "streamed-empty-list-opened",
+        CLI,
+        'return head + "[]"',
+        'return head + "[" + indent + "]"',
+        (WRITER_EDGES,),
+    ),
+    Mutant(
+        "check-triples-listed",
+        CLI,
+        '"triples": (_triple_payload(profile, r) for r in verdict.per_triple),',
+        '"triples": [_triple_payload(profile, r) for r in verdict.per_triple],',
+        (WRITTEN_IN_PIECES,),
     ),
     Mutant(
         "decode-line-0-based",
