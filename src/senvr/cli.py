@@ -10,11 +10,10 @@ request; 3 condition asserted but not satisfied; 4 harness violation or
 checker disagreement; 141 stdout closed by its reader.
 
 Each command builds one report, the payload that ``--json`` prints; the
-text report is a rendering of that payload.  The per-triple entries of
-``check`` and the per-voter entries of ``pm`` are built lazily and each
-report, JSON or text, is written to stdout one entry at a time, so that
-memory holds the profile and one entry rather than the whole report.
-``check`` decides everything that can fail before its first write.
+text report is a rendering of that payload.  Renderers yield text pieces,
+one per ``check`` triple or ``pm`` voter, and touch no stdout; one loop,
+``_write``, writes them, so memory holds the profile and one entry rather
+than the whole report.  ``check`` decides all that can fail before a write.
 """
 
 from __future__ import annotations
@@ -55,10 +54,10 @@ from senvr.profile_io import (
 
 __all__ = ["MAX_MEMBERSHIP_CELLS", "MAX_TRIPLES", "MAX_VOTER_TRIPLES", "main"]
 
-# desk-scale guards for ``check``: the condition visits every voter on every
-# triple, C(m, 3) * n voter-triples, and the report lists each concerned one;
-# each of the C(m, 3) triples also costs a report entry of a few kilobytes
-# of JSON, whatever the number of voters
+# desk-scale guards: ``check`` and each profile of a random ``verify`` visit
+# every voter on every triple, C(m, 3) * n voter-triples, and ``check`` lists
+# each concerned one; each of the C(m, 3) triples also costs a ``check``
+# report entry of a few kilobytes of JSON, whatever the number of voters
 MAX_VOTER_TRIPLES = 10**7
 MAX_TRIPLES = 10**5
 # desk-scale guard for ``pm``: each voter's k x k membership matrix is built
@@ -86,32 +85,15 @@ def _dump(value: object, indent: str = "\n", table: _IntText | None = None) -> s
     """``value`` as ``json.dumps(value, indent=2)`` writes it.
 
     Only the types a report holds are accepted: dict with str keys,
-    list, str, int, bool and None; anything else raises TypeError.
-    ``json.dumps`` falls back to its pure-Python encoder whenever an
-    indent is set; this writer escapes strings with the C encoder and
-    joins a list of plain ints in one step, rendering each distinct int
-    once per top-level call through ``table``.  ``indent`` is the newline
-    and indentation that precede ``value``'s closing bracket.
-
-    At the top level only, an iterator may stand for a list as one of
-    the values of a dict ``value``.  Its items are written to
-    ``sys.stdout`` one at a time, each after all the text that precedes
-    it, so that a report need not be held whole.  The text after the
-    last streamed item is returned, for the caller to write.
+    list, str, int, bool and None; anything else, an iterator included,
+    raises TypeError.  ``json.dumps`` falls back to its pure-Python
+    encoder whenever an indent is set; this writer escapes strings with
+    the C encoder and joins a list of plain ints in one step, rendering
+    each distinct int once per ``table``.  ``indent`` is the newline and
+    indentation that precede ``value``'s closing bracket.
     """
     if table is None:
         table = _IntText()
-        if type(value) is dict and value:
-            inner = indent + "  "
-            head, separator = "", "{" + inner
-            for key, item in value.items():
-                head += separator + encode_basestring_ascii(key) + ": "
-                separator = "," + inner
-                if isinstance(item, Iterator):
-                    head = _stream(head, item, inner, table)
-                else:
-                    head += _dump(item, inner, table)
-            return head + indent + "}"
     if value is None:
         return "null"
     if value is True:
@@ -146,23 +128,43 @@ def _dump(value: object, indent: str = "\n", table: _IntText | None = None) -> s
     raise TypeError(f"{kind.__name__} is not a report value")
 
 
-_END = object()  # marks an exhausted iterator
+def _json_report(payload: dict) -> Iterator[str]:
+    """``json.dumps(payload, indent=2) + "\\n"``, in pieces.
 
-
-def _stream(head: str, items: Iterator, indent: str, table: _IntText) -> str:
-    """Write ``head`` and the list ``items`` up to its last item; return the rest.
-
-    An empty ``items`` writes nothing and returns ``head + "[]"``.
+    A value of ``payload`` may be an iterator that stands for a list.
+    Each of its items is a piece of its own, together with the text
+    before it, so that a report need not be held whole.  Each distinct
+    int is rendered once per report.
     """
-    first = next(items, _END)
-    if first is _END:
-        return head + "[]"
-    inner = indent + "  "
-    write = sys.stdout.write
-    write(head + "[" + inner + _dump(first, inner, table))
-    for item in items:
-        write("," + inner + _dump(item, inner, table))
-    return indent + "]"
+    table = _IntText()
+    text, separator = "", "{\n  "
+    for key, value in payload.items():
+        text += separator + encode_basestring_ascii(key) + ": "
+        separator = ",\n  "
+        if not isinstance(value, Iterator):
+            text += _dump(value, "\n  ", table)
+            continue
+        empty = True
+        for item in value:
+            yield text + ("[" if empty else ",") + "\n    " + _dump(item, "\n    ", table)
+            text, empty = "", False
+        text += "[]" if empty else "\n  ]"
+    yield text + ("\n}\n" if payload else "{}\n")
+
+
+def _write(pieces: Iterator[str]) -> None:
+    """Write a report's pieces to stdout, each as soon as it is made."""
+    for piece in pieces:
+        sys.stdout.write(piece)
+
+
+def _check_voter_triples(m: int, n: int) -> None:
+    """Refuse a profile of more than ``MAX_VOTER_TRIPLES`` voter-triples."""
+    count = math.comb(m, 3) * n
+    if count > MAX_VOTER_TRIPLES:
+        raise ValueError(
+            f"C({m},3)*{n} = {count} voter-triples exceed the limit of {MAX_VOTER_TRIPLES}"
+        )
 
 
 # --- check -----------------------------------------------------------------
@@ -238,13 +240,12 @@ def _render_triple(triple: dict) -> list[str]:
     return lines
 
 
-def _render_check(payload: dict, num_voters: int) -> str:
-    """The text report: written to ``sys.stdout`` up to its last triple, the rest returned."""
+def _render_check(payload: dict, num_voters: int) -> Iterator[str]:
+    """The text report, in pieces: the header, one per triple, then the rest."""
     names = payload["alternatives"]
-    write = sys.stdout.write
-    write(f"profile: {len(names)} alternatives ({', '.join(names)}), {num_voters} voters\n\n")
+    yield f"profile: {len(names)} alternatives ({', '.join(names)}), {num_voters} voters\n\n"
     for triple in payload["triples"]:
-        write("\n".join(_render_triple(triple)) + "\n")
+        yield "\n".join(_render_triple(triple)) + "\n"
     lines = [""]
     if payload["condition_holds"]:
         lines.append(
@@ -263,18 +264,14 @@ def _render_check(payload: dict, num_voters: int) -> str:
         a, b, c = social["cycle"]
         lines.append("majority relation is not transitive")
         lines.append(f"cycle witness: {a} >= {b}, {b} >= {c}, but not {a} >= {c}")
-    return "\n".join(lines)
+    yield "\n".join(lines) + "\n"
 
 
 def cmd_check(args: argparse.Namespace) -> int:
     profile = _read_profile(args.path)
-    m, n = profile.num_alternatives, profile.num_voters
+    m = profile.num_alternatives
+    _check_voter_triples(m, profile.num_voters)
     num_triples = math.comb(m, 3)
-    if num_triples * n > MAX_VOTER_TRIPLES:
-        raise ValueError(
-            f"C({m},3)*{n} = {num_triples * n} voter-triples exceed "
-            f"the limit of {MAX_VOTER_TRIPLES}"
-        )
     if num_triples > MAX_TRIPLES:
         raise ValueError(f"C({m},3) = {num_triples} triples exceed the limit of {MAX_TRIPLES}")
     verdict = sen_condition(profile)
@@ -287,10 +284,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         "tallies": tally.prefer.tolist(),
         "social": _social_payload(profile, social_ordering(majority_relation(tally))),
     }
-    if args.json:
-        print(_dump(payload))
-    else:
-        print(_render_check(payload, profile.num_voters))
+    _write(_json_report(payload) if args.json else _render_check(payload, profile.num_voters))
     if args.assert_sen and not verdict.condition_holds:
         return 3
     return 0
@@ -320,16 +314,14 @@ def _render_voter(voter: dict) -> list[str]:
     ]
 
 
-def _render_pm(payload: dict) -> str:
-    """The text report: written to ``sys.stdout`` whole; nothing is returned."""
+def _render_pm(payload: dict) -> Iterator[str]:
+    """The text report, in pieces: the header, then one per voter."""
     lines = [f"alternatives: {' '.join(payload['alternatives'])}"]
     if payload["triple"] is not None:
         lines.append(f"triple: ({', '.join(payload['triple'])})")
-    write = sys.stdout.write
-    write("\n".join(lines))
+    yield "\n".join(lines) + "\n"
     for voter in payload["voters"]:
-        write("\n" + "\n".join(_render_voter(voter)))
-    return ""
+        yield "\n".join(_render_voter(voter)) + "\n"
 
 
 def cmd_pm(args: argparse.Namespace) -> int:
@@ -358,7 +350,7 @@ def cmd_pm(args: argparse.Namespace) -> int:
             for index, order in enumerate(orders, start=1)
         ),
     }
-    print(_dump(payload) if args.json else _render_pm(payload))
+    _write(_json_report(payload) if args.json else _render_pm(payload))
     return 0
 
 
@@ -374,6 +366,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         trials=args.trials if mode is HarnessMode.RANDOM else 1,
         seed=args.seed if mode is HarnessMode.RANDOM else 0,
     )
+    if mode is HarnessMode.RANDOM:
+        # an exhaustive sweep is bounded by its enumeration budget instead
+        _check_voter_triples(config.m, config.n)
     report = run_harness(config)
     payload = {
         "mode": mode.value,
@@ -384,11 +379,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         **{f.name: getattr(report, f.name) for f in dataclasses.fields(report)},
     }
     payload["violations"] = [serialize_profile(p) for p in report.violations]
-    print(_dump(payload) if args.json else _render_verify(payload))
+    _write(_json_report(payload) if args.json else _render_verify(payload))
     return 0 if not report.violations else 4
 
 
-def _render_verify(payload: dict) -> str:
+def _render_verify(payload: dict) -> Iterator[str]:
+    """The text report, in pieces: the counts, then one per violation."""
     header = "mode: exhaustive (m={m}, n={n})"
     if payload["mode"] == HarnessMode.RANDOM.value:
         header = "mode: random (m={m}, n={n}, trials={trials}, seed={seed})"
@@ -404,10 +400,11 @@ def _render_verify(payload: dict) -> str:
         f"condition failed: {failed} (transitive anyway: {failed_transitive})",
         f"violations: {len(violations)}",
     ]
+    yield "\n".join(lines) + "\n"
     for i, text in enumerate(violations, start=1):
-        lines.append(f"violation {i} (condition holds, majority relation intransitive):")
-        lines.extend("    " + line for line in text.splitlines())
-    return "\n".join(lines)
+        yield f"violation {i} (condition holds, majority relation intransitive):\n" + "".join(
+            "    " + line + "\n" for line in text.splitlines()
+        )
 
 
 # --- entry point -----------------------------------------------------------

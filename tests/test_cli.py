@@ -577,6 +577,34 @@ def test_verify_exhaustive_past_the_budget_exits_2_with_the_budget_message(
     assert err == f"error: {message}\n"
 
 
+def test_verify_random_refuses_too_many_voter_triples_before_sweeping(capsys, monkeypatch):
+    def swept(config):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr("senvr.cli.run_harness", swept)
+    code, out, err = run_cli(
+        capsys, "verify", "--m", "8", "--n", "178572", "--random", "--trials", "1"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: C(8,3)*178572 = 10000032 voter-triples exceed the limit of 10000000\n"
+    )
+
+
+@pytest.mark.parametrize("limit, status", [(20, 0), (19, 2)])
+def test_verify_voter_triple_limit_is_inclusive(capsys, monkeypatch, limit, status):
+    # each profile of m = 4, n = 5 has C(4, 3) * 5 = 20 voter-triples
+    monkeypatch.setattr("senvr.cli.MAX_VOTER_TRIPLES", limit)
+    code, out, err = run_cli(
+        capsys, "verify", "--m", "4", "--n", "5", "--random", "--trials", "1"
+    )
+    assert code == status
+    if status:
+        assert out == ""
+        assert err == f"error: C(4,3)*5 = 20 voter-triples exceed the limit of {limit}\n"
+
+
 def test_verify_reports_violations_with_exit_4(capsys, monkeypatch):
     profile = parse_profile(Path(EXAMPLE2).read_text())
     fake = HarnessReport(

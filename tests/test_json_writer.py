@@ -5,21 +5,23 @@ list, str, int, bool, None), so the property is checked over recursive
 values built from those, with the strings, ints and empty containers on
 which an encoder is most likely to slip.  The writer renders each
 distinct int once per call, so values are also drawn from a small range
-in which they repeat across the lists of one value.  As the values of
-a top-level dict the writer also takes iterators in place of lists and
-writes their items to stdout as it goes; the edge cases hold such
-values too.
+in which they repeat across the lists of one value.  A report is a dict
+whose values ``cli._json_report`` also takes as iterators in place of
+lists, yielding their items as pieces of their own; the edge cases hold
+such values too.  No renderer writes to stdout: ``cli._write`` alone does.
 """
 
-import contextlib
-import io
 import json
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from senvr.cli import _dump
+from senvr.cli import _dump, _json_report, main
+
+EXAMPLE2 = str(Path(__file__).resolve().parent.parent / "profiles" / "example2.profile")
 
 # every code point, lone surrogates included, plus the characters JSON escapes
 CHARACTERS = st.characters(blacklist_categories=()) | st.sampled_from(
@@ -48,23 +50,18 @@ VALUES = st.recursive(
 
 
 class Iterated(list):
-    """A list that is handed to the writer as an iterator over its items."""
+    """A list that is handed to ``_json_report`` as an iterator over its items."""
 
 
-def _as_given(value):
-    # the writer takes iterators as the values of a top-level dict only
-    if type(value) is dict:
-        return {key: iter(item) if isinstance(item, Iterated) else item
-                for key, item in value.items()}
-    return value
+def _iterated(value) -> bool:
+    return type(value) is dict and any(isinstance(item, Iterated) for item in value.values())
 
 
-def _written(value) -> str:
-    """What ``_dump`` writes to stdout, then the text it returns."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        tail = _dump(_as_given(value))
-    return out.getvalue() + tail
+def _reported(report: dict) -> str:
+    """The pieces of ``_json_report``, its ``Iterated`` values given as iterators."""
+    given = {key: iter(item) if isinstance(item, Iterated) else item
+             for key, item in report.items()}
+    return "".join(_json_report(given))
 
 
 @given(VALUES)
@@ -114,19 +111,55 @@ def test_dump_keeps_no_state_between_calls(first, second):
     ],
 )
 def test_dump_matches_json_dumps_on_edge_cases(value):
-    text = _written(value)
-    assert text == json.dumps(value, indent=2)
-    assert _written(value) == text
+    expected = json.dumps(value, indent=2)
+    if not _iterated(value):
+        assert _dump(value) == expected
+    if type(value) is dict:
+        text = _reported(value)
+        assert text == expected + "\n"
+        assert _reported(value) == text
 
 
 @pytest.mark.parametrize(
     "value",
     [
         1.5, [1, 2.0], (1, 2), {"a": (1,)}, {1: "a"}, {None: 1}, b"x",
-        # an iterator is taken as the value of a top-level dict only
-        iter([1]), [iter([1])], {"a": {"b": iter([])}},
+        # only _json_report takes iterators, as the values of a report
+        iter([1]), [iter([1])], {"a": {"b": iter([])}}, {"a": iter([1])},
     ],
 )
 def test_dump_rejects_what_no_report_holds(value):
     with pytest.raises(TypeError):
         _dump(value)
+
+
+class _UnwritableStdout:
+    def write(self, text: str) -> int:
+        raise AssertionError("a report was written outside cli._write")
+
+    def flush(self) -> None:
+        pass
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", EXAMPLE2],
+        ["check", EXAMPLE2, "--json"],
+        ["pm", EXAMPLE2],
+        ["pm", EXAMPLE2, "--json"],
+        ["verify", "--m", "3", "--n", "3", "--exhaustive"],
+        ["verify", "--m", "3", "--n", "3", "--exhaustive", "--json"],
+    ],
+    ids=["check", "check-json", "pm", "pm-json", "verify", "verify-json"],
+)
+def test_reports_are_pieces_that_only_the_write_loop_writes(capsys, monkeypatch, argv):
+    # each renderer and _json_report is consumed with a stdout that fails
+    # every write: the pieces must still be the report main writes
+    assert main(argv) == 0
+    written = capsys.readouterr().out
+    pieces = []
+    monkeypatch.setattr(sys, "stdout", _UnwritableStdout())
+    monkeypatch.setattr("senvr.cli._write", pieces.extend)
+    assert main(argv) == 0
+    assert "".join(pieces) == written

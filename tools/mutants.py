@@ -42,6 +42,7 @@ SEEDED_PARITY = T_COND + "test_array_pass_matches_the_loop_on_seeded_profiles"
 LARGE_GOLDEN = "tests/test_golden.py::test_check_large_output_matches_golden_digest"
 WRITER_EDGES = "tests/test_json_writer.py::test_dump_matches_json_dumps_on_edge_cases"
 WRITTEN_IN_PIECES = "tests/test_golden.py::test_large_reports_are_written_a_triple_or_voter_at_a_time"
+T_CLI = "tests/test_cli.py::"
 T_HARNESS = "tests/test_harness.py::"
 PINNED_DRAWS = T_HARNESS + "test_random_profile_draws_are_pinned"
 SAMPLER_SPEC = T_HARNESS + "test_sampler_draws_and_leaves_the_generator_as_the_specification"
@@ -245,15 +246,15 @@ MUTANTS = (
     Mutant(
         "streamed-first-item-separated",
         CLI,
-        'write(head + "[" + inner + _dump(first, inner, table))',
-        'write(head + "[," + inner + _dump(first, inner, table))',
+        '("[" if empty else ",")',
+        '("[," if empty else ",")',
         (WRITER_EDGES, LARGE_GOLDEN, WRITTEN_IN_PIECES),
     ),
     Mutant(
         "streamed-empty-list-opened",
         CLI,
-        'return head + "[]"',
-        'return head + "[" + indent + "]"',
+        'text += "[]" if empty else',
+        'text += "[\\n  ]" if empty else',
         (WRITER_EDGES,),
     ),
     Mutant(
@@ -262,6 +263,16 @@ MUTANTS = (
         '"triples": (_triple_payload(profile, r) for r in verdict.per_triple),',
         '"triples": [_triple_payload(profile, r) for r in verdict.per_triple],',
         (WRITTEN_IN_PIECES,),
+    ),
+    Mutant(
+        "voter-triple-limit-exclusive",
+        CLI,
+        "if count > MAX_VOTER_TRIPLES:",
+        "if count >= MAX_VOTER_TRIPLES:",
+        (
+            T_CLI + "test_check_voter_triple_limit_is_inclusive",
+            T_CLI + "test_verify_voter_triple_limit_is_inclusive",
+        ),
     ),
     Mutant(
         "decode-line-0-based",
