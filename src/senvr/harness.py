@@ -260,19 +260,6 @@ def _rgs_completions(m: int, k: int) -> tuple[tuple[tuple[int, int, int, int], .
     )
 
 
-# A sweep draws many orders more than once (m=5, n=7, 100 trials: some 390
-# distinct orders of 541 in 700 draws), so each is built and validated once
-# per rank row.  Bounded: at m=8 (545,835 orders) few draws repeat, and the
-# cache holds at most 4,096 of them.
-@lru_cache(maxsize=2**12)
-def _sampled_order(ranks: tuple[int, ...], k: int) -> WeakOrder:
-    """The weak order with k classes in which alternative i sits in class ``ranks[i]``."""
-    classes = [set() for _ in range(k)]
-    for alternative, rank in enumerate(ranks):
-        classes[rank].add(alternative)
-    return WeakOrder(tuple(map(frozenset, classes)))
-
-
 def _sample_weak_order(m: int, rng: random.Random, cum: list[int]) -> WeakOrder:
     """Draw one weak order uniformly at random.
 
@@ -286,8 +273,7 @@ def _sample_weak_order(m: int, rng: random.Random, cum: list[int]) -> WeakOrder:
     The draws read the generator's raw bits with the exact steps of
     ``rng.choices(range(m + 1), cum_weights=cum)``, ``rng.randrange(N)``
     and ``rng.shuffle``, so they and the generator's state after them
-    are the same as those calls would give.  The order itself comes from
-    :func:`_sampled_order`, keyed by the drawn rank row.
+    are the same as those calls would give.
     """
     getrandbits = rng.getrandbits
     # k = 0 has weight 0, so the draw is the same as over k = 1..m alone
@@ -311,7 +297,7 @@ def _sample_weak_order(m: int, rng: random.Random, cum: list[int]) -> WeakOrder:
         while j > i:
             j = getrandbits(bits)
         placement[i], placement[j] = placement[j], placement[i]
-    return _sampled_order(tuple(map(placement.__getitem__, labels)), k)
+    return WeakOrder._from_dense(tuple(map(placement.__getitem__, labels)), k)
 
 
 def random_profile(m: int, n: int, seed: int, trial: int) -> Profile:

@@ -77,14 +77,27 @@ class WeakOrder:
         Raises
         ------
         PartitionError
-            If ``ranks`` is empty.
+            If ``ranks`` is empty or holds a value unequal to itself (NaN).
         """
-        return cls(
-            tuple(
-                frozenset(alt for alt, r in enumerate(ranks) if r == value)
-                for value in sorted(set(ranks))
-            )
-        )
+        values = sorted(set(ranks))
+        if not values:
+            raise PartitionError("a weak order needs at least one class")
+        if any(value != value for value in values):  # NaN: its class would be empty
+            raise PartitionError("indifference classes must be nonempty")
+        dense = {value: i for i, value in enumerate(values)}
+        return cls._from_dense(tuple(dense[r] for r in ranks), len(values))
+
+    @classmethod
+    def _from_dense(cls, row: tuple[int, ...], k: int) -> WeakOrder:
+        """The weak order in which alternative ``i`` sits in class ``row[i]``,
+        unchecked: ``row`` must be a tuple of Python ints covering 0..k-1."""
+        members: list[list[int]] = [[] for _ in range(k)]
+        for alt, rank in enumerate(row):
+            members[rank].append(alt)
+        order = object.__new__(cls)
+        object.__setattr__(order, "classes", tuple(map(frozenset, members)))
+        object.__setattr__(order, "ranks", row)
+        return order
 
     @property
     def num_alternatives(self) -> int:

@@ -55,28 +55,26 @@ def _parse_declaration(rest: str, line: int) -> tuple[str, ...]:
 
 
 def _parse_ballot(rest: str, line: int, index: dict[str, int]) -> WeakOrder:
-    classes = []
-    seen: set[str] = set()
-    for group in rest.split(">"):
+    row = [-1] * len(index)  # each name's group index; the checks make it dense
+    groups = rest.split(">")
+    for rank, group in enumerate(groups):
         tokens = [t.strip() for t in _TIE_RE.split(group)]
         if "" in tokens:
             empty = "group" if tokens == [""] else "name beside a tie mark"
             raise ParseError(line, f"empty {empty} in ballot")
-        members = set()
         for name in tokens:
+            alt = index.get(name)
             # a declared name was checked when it was declared
-            if name not in index:
+            if alt is None:
                 _checked_name(name, line)
                 raise ParseError(line, f"unknown alternative {name!r}")
-            if name in seen:
+            if row[alt] >= 0:
                 raise ParseError(line, f"{name!r} appears more than once in this ballot")
-            seen.add(name)
-            members.add(index[name])
-        classes.append(frozenset(members))
-    if len(seen) != len(index):
-        missing = [name for name in index if name not in seen]
+            row[alt] = rank
+    if -1 in row:
+        missing = [name for name, alt in index.items() if row[alt] < 0]
         raise ParseError(line, f"ballot is missing {', '.join(repr(n) for n in missing)}")
-    return WeakOrder(tuple(classes))
+    return WeakOrder._from_dense(tuple(row), len(groups))
 
 
 def decode_profile(data: bytes) -> str:

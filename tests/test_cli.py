@@ -647,6 +647,19 @@ def test_version_flag(capsys):
     assert "senvr" in out
 
 
+def test_one_process_parses_every_call_afresh(capsys):
+    # main parses with one parser built at import: an error or an exit
+    # on one call must leave nothing behind for the next
+    assert main(["check", "--json", EXAMPLE2]) == 0
+    first = capsys.readouterr().out
+    assert main(["verify", "--m", "3", "--n", "2"]) == 2
+    assert capsys.readouterr().err.startswith("usage: senvr verify")
+    assert main(["--version"]) == 0
+    assert capsys.readouterr().out.startswith("senvr ")
+    assert main(["check", "--json", EXAMPLE2]) == 0
+    assert capsys.readouterr().out == first
+
+
 def test_module_invocation_smoke():
     result = subprocess.run(
         [sys.executable, "-m", "senvr", "check", EXAMPLE2, "--json"],

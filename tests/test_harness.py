@@ -35,7 +35,6 @@ from senvr.harness import (
     _enumerate_orbits,
     _multiset_codes,
     _sample_weak_order,
-    _sampled_order,
     _symmetry_table,
     _weak_order_counts,
 )
@@ -329,22 +328,7 @@ def test_random_profile_draws_as_the_specification(m, seed):
         assert random_profile(m, 7, seed, trial).voters == expected
 
 
-def test_a_random_verify_builds_each_distinct_sampled_order_once(capsys):
-    seed = 2027
-    rows = set()
-    for trial in range(100):
-        rng = random.Random(seed * 2**64 + trial)
-        rows.update(spec_sample_weak_order(5, rng).ranks for _ in range(7))
-    _sampled_order.cache_clear()
-    argv = ["verify", "--random", "--m", "5", "--n", "7", "--trials", "100", "--seed", str(seed)]
-    assert main(argv) == 0
-    info = _sampled_order.cache_info()
-    assert info.misses == len(rows)
-    assert info.hits == 700 - info.misses
-    assert "profiles tested: 100\n" in capsys.readouterr().out
-
-
-@pytest.mark.parametrize("memo", [_sampled_order, _triple_layout], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("memo", [_triple_layout], ids=lambda f: f.__name__)
 def test_sweep_memos_are_bounded_senvr_caches(memo):
     # a benchmark clears every cache whose function senvr defines before
     # each timed call, so each call pays for these cold

@@ -76,8 +76,53 @@ def test_from_ranks_round_trips_every_weak_order(m):
 
 
 def test_from_ranks_rejects_no_alternatives():
-    with pytest.raises(PartitionError):
+    with pytest.raises(PartitionError, match="^a weak order needs at least one class$"):
         WeakOrder.from_ranks([])
+
+
+def _rank_rows_and_checked_orders():
+    """Every rank vector over m <= 4 with the order the validated class
+    form builds from it, and every weak order on 5 alternatives with its
+    classes passed back through that form."""
+    for m in range(1, 5):
+        for ranks in itertools.product(range(m), repeat=m):
+            classes = tuple(
+                frozenset(alt for alt, r in enumerate(ranks) if r == value)
+                for value in sorted(set(ranks))
+            )
+            yield ranks, WeakOrder(classes)
+    for order in enumerate_weak_orders(5):
+        yield order.ranks, WeakOrder(order.classes)
+
+
+def test_from_ranks_builds_what_the_validated_class_form_builds():
+    for ranks, expected in _rank_rows_and_checked_orders():
+        order = WeakOrder.from_ranks(ranks)
+        assert order == expected
+        assert hash(order) == hash(expected)
+        assert order.ranks == expected.ranks
+
+
+@pytest.mark.parametrize(
+    "ranks",
+    [np.array([7, 3, 7]), [True, False, True], np.array([True, False, True])],
+    ids=["numpy-int", "bool", "numpy-bool"],
+)
+def test_from_ranks_holds_python_ints(ranks):
+    order = WeakOrder.from_ranks(ranks)
+    assert order.ranks == (1, 0, 1)
+    assert [type(r) for r in order.ranks] == [int, int, int]
+
+
+@pytest.mark.parametrize(
+    "ranks",
+    [[float("nan"), 1.0], [1.0, float("nan")], np.array([np.nan, np.nan])],
+    ids=["nan-first", "nan-last", "numpy-nans"],
+)
+def test_from_ranks_rejects_nan_as_the_class_form_does(ranks):
+    # NaN equals nothing, itself included, so the class it heads is empty
+    with pytest.raises(PartitionError, match="^indifference classes must be nonempty$"):
+        WeakOrder.from_ranks(ranks)
 
 
 def test_direct_construction_is_validated_too():

@@ -195,7 +195,10 @@ def test_serialize_uses_tilde_for_ties(example2):
 
 @given(profiles())
 def test_round_trip(profile):
-    assert parse_profile(serialize_profile(profile)) == profile
+    parsed = parse_profile(serialize_profile(profile))
+    assert parsed == profile
+    # the rank matrix is left out of equality, and it is what the checkers read
+    assert parsed.ranks == profile.ranks
 
 
 @given(profiles())

@@ -36,6 +36,7 @@ MAJORITY = "src/senvr/majority.py"
 HARNESS = "src/senvr/harness.py"
 CLI = "src/senvr/cli.py"
 PROFILE_IO = "src/senvr/profile_io.py"
+ORDERS = "src/senvr/orders.py"
 
 T_COND = "tests/test_condition.py::"
 SEEDED_PARITY = T_COND + "test_array_pass_matches_the_loop_on_seeded_profiles"
@@ -44,6 +45,9 @@ WRITER_EDGES = "tests/test_json_writer.py::test_dump_matches_json_dumps_on_edge_
 WRITTEN_IN_PIECES = "tests/test_golden.py::test_large_reports_are_written_a_triple_or_voter_at_a_time"
 T_CLI = "tests/test_cli.py::"
 T_HARNESS = "tests/test_harness.py::"
+T_ORDERS = "tests/test_orders.py::"
+T_IO = "tests/test_profile_io.py::"
+BUILDS_AS_CHECKED = T_ORDERS + "test_from_ranks_builds_what_the_validated_class_form_builds"
 PINNED_DRAWS = T_HARNESS + "test_random_profile_draws_are_pinned"
 SAMPLER_SPEC = T_HARNESS + "test_sampler_draws_and_leaves_the_generator_as_the_specification"
 
@@ -232,9 +236,50 @@ MUTANTS = (
     Mutant(
         "memo-key-drops-placement",
         HARNESS,
-        "_sampled_order(tuple(map(placement.__getitem__, labels)), k)",
-        "_sampled_order(tuple(labels), k)",
+        "WeakOrder._from_dense(tuple(map(placement.__getitem__, labels)), k)",
+        "WeakOrder._from_dense(tuple(labels), k)",
         (PINNED_DRAWS, SAMPLER_SPEC),
+    ),
+    # a raw row of bools builds the right classes: only the ranks' type shows it
+    Mutant(
+        "dense-map-skipped",
+        ORDERS,
+        "cls._from_dense(tuple(dense[r] for r in ranks), len(values))",
+        "cls._from_dense(tuple(ranks), len(values))",
+        (BUILDS_AS_CHECKED, T_ORDERS + "test_from_ranks_holds_python_ints"),
+    ),
+    Mutant(
+        "dense-map-admits-nan",
+        ORDERS,
+        "if any(value != value for value in values):",
+        "if False:",
+        (T_ORDERS + "test_from_ranks_rejects_nan_as_the_class_form_does",),
+    ),
+    # the pinned draws digest the ranks, which this keeps: the classes show it
+    Mutant(
+        "dense-class-index-reversed",
+        ORDERS,
+        "members[rank].append(alt)",
+        "members[k - 1 - rank].append(alt)",
+        (
+            BUILDS_AS_CHECKED,
+            T_HARNESS + "test_random_profile_draws_as_the_specification",
+            T_IO + "test_round_trip",
+        ),
+    ),
+    Mutant(
+        "ballot-group-index-reversed",
+        PROFILE_IO,
+        "row[alt] = rank",
+        "row[alt] = len(groups) - 1 - rank",
+        (T_IO + "test_parse_five_voters_mixed_tie_separators", T_IO + "test_round_trip"),
+    ),
+    Mutant(
+        "ballot-duplicate-misses-first-group",
+        PROFILE_IO,
+        "if row[alt] >= 0:",
+        "if row[alt] > 0:",
+        (T_IO + "test_ballot_error_messages",),
     ),
     Mutant(
         "int-list-admits-bools",
