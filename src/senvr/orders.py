@@ -1,8 +1,10 @@
 """Weak-order preferences and their position-set representations.
 
 A weak order (complete, reflexive, transitive) over ``m`` alternatives is
-stored as an ordered partition into indifference classes, best class first.
-Two positional encodings are derived from it:
+stored as its dense rank row: the index of every alternative's
+indifference class, best class 0.  The ordered partition into classes,
+best first, is derived from the row when it is read.  Two positional
+encodings are derived from the row as well:
 
 * a preference map: for every alternative, the set of ranking positions it
   may occupy, which is the consecutive run of positions spanned by its
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -36,20 +38,26 @@ class UnknownAlternative(LookupError):
     """An alternative name is not declared in the profile."""
 
 
-@dataclass(frozen=True)
 class WeakOrder:
-    """Ordered partition of ``{0, ..., m-1}``, most preferred class first."""
+    """Weak order over ``{0, ..., m-1}``, stored as its dense rank row.
 
-    classes: tuple[frozenset[int], ...]
+    ``WeakOrder(classes)`` takes the ordered partition, most preferred
+    class first; ``classes`` derives it again from the row on each read.
+    Equality and hash go through ``ranks``, which fixes the partition.
+    Instances are immutable.
+    """
+
+    __slots__ = ("ranks", "num_classes")
     # class index of every alternative (0 = most preferred class)
-    ranks: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    ranks: tuple[int, ...]
+    num_classes: int
 
-    def __post_init__(self) -> None:
-        if not self.classes:
+    def __init__(self, classes: Sequence[frozenset[int]]) -> None:
+        if not classes:
             raise PartitionError("a weak order needs at least one class")
         seen: set[int] = set()
         total = 0
-        for cls in self.classes:
+        for cls in classes:
             if not cls:
                 raise PartitionError("indifference classes must be nonempty")
             if cls & seen:
@@ -62,10 +70,31 @@ class WeakOrder:
                 f"classes must partition 0..{total - 1}, got ids {sorted(seen)}"
             )
         rank = [0] * total
-        for idx, cls in enumerate(self.classes):
+        for idx, cls in enumerate(classes):
             for alt in cls:
                 rank[alt] = idx
         object.__setattr__(self, "ranks", tuple(rank))
+        object.__setattr__(self, "num_classes", len(classes))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.ranks == other.ranks
+
+    def __hash__(self) -> int:
+        return hash(self.ranks)
+
+    def __reduce__(self) -> tuple:
+        return self._from_dense, (self.ranks, self.num_classes)
+
+    def __repr__(self) -> str:
+        return f"WeakOrder(classes={self.classes!r})"
 
     @classmethod
     def from_ranks(cls, ranks: Sequence[int]) -> WeakOrder:
@@ -91,21 +120,23 @@ class WeakOrder:
     def _from_dense(cls, row: tuple[int, ...], k: int) -> WeakOrder:
         """The weak order in which alternative ``i`` sits in class ``row[i]``,
         unchecked: ``row`` must be a tuple of Python ints covering 0..k-1."""
-        members: list[list[int]] = [[] for _ in range(k)]
-        for alt, rank in enumerate(row):
-            members[rank].append(alt)
         order = object.__new__(cls)
-        object.__setattr__(order, "classes", tuple(map(frozenset, members)))
         object.__setattr__(order, "ranks", row)
+        object.__setattr__(order, "num_classes", k)
         return order
+
+    @property
+    def classes(self) -> tuple[frozenset[int], ...]:
+        """The indifference classes, best first, derived from ``ranks`` on
+        each read and not kept."""
+        members: list[list[int]] = [[] for _ in range(self.num_classes)]
+        for alt, rank in enumerate(self.ranks):
+            members[rank].append(alt)
+        return tuple(map(frozenset, members))
 
     @property
     def num_alternatives(self) -> int:
         return len(self.ranks)
-
-    @property
-    def num_classes(self) -> int:
-        return len(self.classes)
 
     def rank_of(self, alt: AlternativeId) -> int:
         return self.ranks[alt]
@@ -132,14 +163,12 @@ def preference_map(order: WeakOrder) -> PreferenceMap:
     Row ``i`` is ``{p+1, ..., p+s}`` where ``p`` counts the alternatives
     strictly preferred to ``i`` and ``s`` is the size of ``i``'s class.
     """
-    rows: list[frozenset[int]] = [frozenset()] * order.num_alternatives
-    offset = 0
-    for cls in order.classes:
-        span = frozenset(range(offset + 1, offset + len(cls) + 1))
-        for alt in cls:
-            rows[alt] = span
-        offset += len(cls)
-    return PreferenceMap(tuple(rows))
+    sizes = [0] * order.num_classes
+    for rank in order.ranks:
+        sizes[rank] += 1
+    starts = itertools.accumulate(sizes, initial=0)
+    spans = [frozenset(range(p + 1, p + s + 1)) for p, s in zip(starts, sizes)]
+    return PreferenceMap(tuple(spans[rank] for rank in order.ranks))
 
 
 @dataclass(frozen=True, eq=False)

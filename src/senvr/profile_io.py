@@ -120,7 +120,10 @@ def parse_profile(text: str) -> Profile:
 
 def ballot_groups(order: WeakOrder, names: Sequence[str]) -> list[list[str]]:
     """The names in each class of ``order``, best class first, each class by id."""
-    return [[names[alt] for alt in sorted(cls)] for cls in order.classes]
+    groups: list[list[str]] = [[] for _ in range(order.num_classes)]
+    for name, rank in zip(names, order.ranks):
+        groups[rank].append(name)
+    return groups
 
 
 def format_ballot(groups: Iterable[Iterable[str]]) -> str:

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -11,10 +13,13 @@ from senvr import (
     Triple,
     UnknownAlternative,
     WeakOrder,
+    default_alternative_names,
     enumerate_weak_orders,
     is_unconcerned,
     membership_map,
+    parse_profile,
     preference_map,
+    random_profile,
     restrict,
     triples,
 )
@@ -30,14 +35,86 @@ def test_from_classes_strict_chain():
     assert order.ranks == (0, 1, 2)
 
 
-def test_ranks_is_derived_and_left_out_of_equality_and_repr():
+def test_ranks_is_the_stored_form_compared_and_left_out_of_repr():
     order = wo({1}, {0, 2})
     assert order.ranks == (1, 0, 1)
     assert order == WeakOrder.from_ranks([5, 2, 5])
     assert hash(order) == hash(WeakOrder.from_ranks([5, 2, 5]))
+    assert order != WeakOrder.from_ranks([0, 1, 0])
     assert repr(order) == "WeakOrder(classes=(frozenset({1}), frozenset({0, 2})))"
     with pytest.raises(TypeError):
         WeakOrder(order.classes, ranks=order.ranks)
+
+
+def test_weak_order_is_immutable():
+    order = wo({1}, {0, 2})
+    for name in ("ranks", "num_classes", "classes", "other"):
+        with pytest.raises(AttributeError):
+            setattr(order, name, None)
+        with pytest.raises(AttributeError):
+            delattr(order, name)
+    assert order.ranks == (1, 0, 1) and order.num_classes == 2
+
+
+def test_weak_order_pickles_and_copies():
+    order = wo({1}, {0, 2})
+    for twin in (pickle.loads(pickle.dumps(order)), copy.copy(order), copy.deepcopy(order)):
+        assert twin == order and twin.classes == order.classes
+
+
+def _partition(ranks):
+    """The ordered partition a rank vector names, built without WeakOrder."""
+    return tuple(
+        frozenset(alt for alt, r in enumerate(ranks) if r == value)
+        for value in sorted(set(ranks))
+    )
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_every_constructor_builds_the_same_weak_order(m):
+    # one alternative makes no profile, so neither the parser nor the sampler reaches it
+    enumerated = enumerate_weak_orders(m)
+    names = default_alternative_names(m)
+    text = f"alternatives: {' '.join(names)}\n" + "".join(
+        "voter: "
+        + " > ".join(" ~ ".join(names[alt] for alt in sorted(c)) for c in _partition(o.ranks))
+        + "\n"
+        for o in enumerated
+    )
+    parsed = parse_profile(text).voters
+    # these draws reach every weak order on m <= 5 alternatives
+    sampled = {o.ranks: o for o in random_profile(m, 6000, 2, 0).voters}
+    assert len(sampled) == len(enumerated) == len(set(enumerated))
+    # neighbours in the enumeration mostly share their class count, so
+    # equality must read more than the count to tell them apart
+    assert all(a != b for a, b in itertools.pairwise(enumerated))
+    for order, from_text in zip(enumerated, parsed):
+        classes = _partition(order.ranks)
+        built = (
+            WeakOrder(classes),
+            WeakOrder.from_ranks(order.ranks),
+            from_text,
+            sampled[order.ranks],
+        )
+        for other in built:
+            assert other == order
+            assert other.classes == classes
+            assert other.ranks == order.ranks
+            assert other.num_classes == len(classes)
+            assert hash(other) == hash(order)
+            assert repr(other) == f"WeakOrder(classes={classes!r})"
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_preference_map_is_the_span_of_each_class(m):
+    for order in enumerate_weak_orders(m):
+        rows = [None] * m
+        p = 0
+        for cls in order.classes:
+            for alt in cls:
+                rows[alt] = frozenset(range(p + 1, p + len(cls) + 1))
+            p += len(cls)
+        assert preference_map(order).rows == tuple(rows)
 
 
 def test_from_classes_total_indifference():
@@ -80,27 +157,17 @@ def test_from_ranks_rejects_no_alternatives():
         WeakOrder.from_ranks([])
 
 
-def _rank_rows_and_checked_orders():
-    """Every rank vector over m <= 4 with the order the validated class
-    form builds from it, and every weak order on 5 alternatives with its
-    classes passed back through that form."""
-    for m in range(1, 5):
-        for ranks in itertools.product(range(m), repeat=m):
-            classes = tuple(
-                frozenset(alt for alt, r in enumerate(ranks) if r == value)
-                for value in sorted(set(ranks))
-            )
-            yield ranks, WeakOrder(classes)
-    for order in enumerate_weak_orders(5):
-        yield order.ranks, WeakOrder(order.classes)
-
-
 def test_from_ranks_builds_what_the_validated_class_form_builds():
-    for ranks, expected in _rank_rows_and_checked_orders():
-        order = WeakOrder.from_ranks(ranks)
-        assert order == expected
-        assert hash(order) == hash(expected)
-        assert order.ranks == expected.ranks
+    # every rank vector over m <= 5, dense or not
+    for m in range(1, 6):
+        for ranks in itertools.product(range(m), repeat=m):
+            classes = _partition(ranks)
+            expected = WeakOrder(classes)
+            order = WeakOrder.from_ranks(ranks)
+            assert order == expected
+            assert hash(order) == hash(expected)
+            assert order.ranks == expected.ranks
+            assert order.classes == expected.classes == classes
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,18 @@
+import random
+import tracemalloc
+
 import pytest
 from hypothesis import given
 
 from helpers import profiles, wo
-from senvr import ParseError, parse_profile, serialize_profile
-from senvr.profile_io import decode_profile
+from senvr import (
+    ParseError,
+    default_alternative_names,
+    enumerate_weak_orders,
+    parse_profile,
+    serialize_profile,
+)
+from senvr.profile_io import ballot_groups, decode_profile
 
 
 EXAMPLE1_TEXT = """\
@@ -205,3 +214,39 @@ def test_round_trip(profile):
 def test_serialization_is_idempotent(profile):
     text = serialize_profile(profile)
     assert serialize_profile(parse_profile(text)) == text
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_ballot_groups_name_each_class_by_id(m):
+    names = [f"n{alt}" for alt in range(m)]
+    for order in enumerate_weak_orders(m):
+        expected = [[names[alt] for alt in sorted(cls)] for cls in order.classes]
+        assert ballot_groups(order, names) == expected
+
+
+def _seeded_profile_text(m, n, seed):
+    """n ballots over m alternatives, each alternative at a uniform level 0..m-1."""
+    rng = random.Random(seed)
+    names = default_alternative_names(m)
+    lines = [f"alternatives: {' '.join(names)}"]
+    for _ in range(n):
+        levels = [rng.randrange(m) for _ in names]
+        groups = (
+            " ~ ".join(name for name, level in zip(names, levels) if level == value)
+            for value in sorted(set(levels))
+        )
+        lines.append("voter: " + " > ".join(groups))
+    return "\n".join(lines) + "\n"
+
+
+def test_a_parsed_profile_holds_its_rank_rows_only():
+    # a frozenset per class would hold about 3 MB here
+    text = _seeded_profile_text(10, 2000, 31)
+    tracemalloc.start()
+    try:
+        profile = parse_profile(text)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert profile.num_voters == 2000
+    assert held < 1_000_000

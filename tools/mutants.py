@@ -14,7 +14,7 @@ itself is never edited.
     python3 tools/mutants.py --list     # names only
     python3 tools/mutants.py sign-flip threshold-strict
 
-It is not part of tier-1: the whole list takes about a minute on 2 cores.
+It is not part of tier-1: the whole list takes about two minutes on 2 cores.
 """
 
 from __future__ import annotations
@@ -48,6 +48,8 @@ T_HARNESS = "tests/test_harness.py::"
 T_ORDERS = "tests/test_orders.py::"
 T_IO = "tests/test_profile_io.py::"
 BUILDS_AS_CHECKED = T_ORDERS + "test_from_ranks_builds_what_the_validated_class_form_builds"
+EVERY_CONSTRUCTOR = T_ORDERS + "test_every_constructor_builds_the_same_weak_order"
+STORED_FORM = T_ORDERS + "test_ranks_is_the_stored_form_compared_and_left_out_of_repr"
 PINNED_DRAWS = T_HARNESS + "test_random_profile_draws_are_pinned"
 SAMPLER_SPEC = T_HARNESS + "test_sampler_draws_and_leaves_the_generator_as_the_specification"
 
@@ -255,16 +257,48 @@ MUTANTS = (
         "if False:",
         (T_ORDERS + "test_from_ranks_rejects_nan_as_the_class_form_does",),
     ),
-    # the pinned draws digest the ranks, which this keeps: the classes show it
+    # the ranks, and so equality, stay right: only a read of the classes shows it
     Mutant(
         "dense-class-index-reversed",
         ORDERS,
         "members[rank].append(alt)",
-        "members[k - 1 - rank].append(alt)",
+        "members[self.num_classes - 1 - rank].append(alt)",
+        (BUILDS_AS_CHECKED, EVERY_CONSTRUCTOR, T_ORDERS + "test_from_classes_strict_chain"),
+    ),
+    Mutant(
+        "equality-by-class-count",
+        ORDERS,
+        "return self.ranks == other.ranks",
+        "return self.num_classes == other.num_classes",
+        (EVERY_CONSTRUCTOR, STORED_FORM),
+    ),
+    Mutant(
+        "hash-by-identity",
+        ORDERS,
+        "return hash(self.ranks)",
+        "return id(self)",
+        (BUILDS_AS_CHECKED, EVERY_CONSTRUCTOR, STORED_FORM),
+    ),
+    Mutant(
+        "span-offset-dropped",
+        ORDERS,
+        "range(p + 1, p + s + 1)",
+        "range(p, p + s)",
         (
-            BUILDS_AS_CHECKED,
-            T_HARNESS + "test_random_profile_draws_as_the_specification",
-            T_IO + "test_round_trip",
+            T_ORDERS + "test_preference_map_three_voter_goldens",
+            T_ORDERS + "test_preference_map_is_the_span_of_each_class",
+            "tests/test_acceptance.py::test_criterion_1_preference_map_goldens",
+        ),
+    ),
+    # a ballot parses back the same with its tied names in any order
+    Mutant(
+        "ballot-groups-names-reversed",
+        PROFILE_IO,
+        "groups[rank].append(name)",
+        "groups[rank].insert(0, name)",
+        (
+            T_IO + "test_ballot_groups_name_each_class_by_id",
+            "tests/test_golden.py::test_pm_large_output_matches_golden_digest",
         ),
     ),
     Mutant(
