@@ -30,9 +30,11 @@ are likewise built once per m, not once per profile.
 A profile of at least ``ARRAY_MIN_VOTER_TRIPLES`` voter-triples is
 decided over its rank matrix, a block of triples at a time: one
 ``bincount`` counts every triple's shape codes and one product with the
-table's 27 x 9 matrix form turns the counts into sums.  Smaller
-profiles, such as an exhaustive sweep's, keep the per-triple loop, which
-is cheaper than NumPy's fixed cost per call there.
+table's 27 x 9 matrix form turns the counts into sums.  A smaller
+profile, such as a sweep's, is decided a triple at a time, each triple
+the first time its report is read.  The condition is a conjunction over
+the triples, so reading only ``condition_holds`` stops at the first
+failing triple, and a sweep decides few triples per profile.
 A :class:`TripleReport` stores only the triple, the concerned voters and
 the nine sums; every verdict, witness and union is a reading of the sums.
 """
@@ -41,6 +43,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -225,9 +228,15 @@ class TripleReport:
 
 @dataclass(frozen=True, eq=False)
 class SenVerdict:
-    """Per-triple reports; the condition holds iff every triple passes."""
+    """Per-triple reports; the condition holds iff every triple passes.
 
-    per_triple: tuple[TripleReport, ...]
+    ``per_triple`` is a read-only sequence of the reports in triple order:
+    a tuple when the array pass decided them, otherwise a sequence that
+    decides each triple the first time it is read.  So ``condition_holds``
+    stops at the first failing triple.
+    """
+
+    per_triple: Sequence[TripleReport]
 
     @property
     def condition_holds(self) -> bool:
@@ -311,14 +320,79 @@ def _triple_report(
     return TripleReport(triple, concerned, tuple(sums))
 
 
+class _TripleReports(Sequence):
+    """A profile's triple reports in triple order, each decided when first read.
+
+    A report is decided by :func:`_triple_report` the first time its index
+    is read, by indexing, slicing or iteration, and kept in that index's
+    slot.  Slots are only ever stored into, never appended to, so readers
+    in any order, interleaved iterators included, see the same report at
+    the same index.  Threads that read one undecided slot at once may each
+    decide it: they get equal reports, and the last one stored is kept.
+    ``len`` decides nothing.  ``repr``, copies and pickles decide every
+    triple and read as the tuple of reports.
+    """
+
+    __slots__ = ("_ranks", "_layout", "_rows", "_reports")
+
+    def __init__(
+        self,
+        ranks: tuple[tuple[int, ...], ...],
+        layout: tuple[Triple, ...],
+        rows: tuple[tuple[int, ...] | None, ...],
+    ) -> None:
+        self._ranks = ranks
+        self._layout = layout
+        self._rows = rows
+        self._reports: list[TripleReport | None] = [None] * len(layout)
+
+    def __len__(self) -> int:
+        return len(self._reports)
+
+    def _report(self, index: int) -> TripleReport:
+        report = self._reports[index]
+        if report is None:
+            triple = self._layout[index]
+            report = _triple_report(triple, _shape_codes(self._ranks, triple), self._rows)
+            self._reports[index] = report
+        return report
+
+    def __getitem__(self, index):
+        picked = range(len(self._reports))[index]
+        if isinstance(picked, range):
+            return tuple(map(self._report, picked))
+        return self._report(picked)
+
+    def __iter__(self) -> Iterator[TripleReport]:
+        return map(self._report, range(len(self._reports)))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+    def __reduce__(self):
+        return tuple, (tuple(self),)
+
+
 # Profiles with at least this many voter-triples, C(m, 3) * n, are decided
-# by the array pass.  Its fixed cost, some 18 us of NumPy calls, exceeds
-# the whole per-triple loop below this size (m = 3, n = 3: 18 us against
-# 5 us): the two break even at about 30 voter-triples for m >= 4 and about
-# 75 for m = 3, and 64 loses a few us at most on either side.  Exhaustive
-# sweeps decide many profiles of 3 voter-triples each, so they stay on
-# the loop.
-ARRAY_MIN_VOTER_TRIPLES = 64
+# by the array pass; smaller ones get a _TripleReports, which decides each
+# triple when it is read.  The array pass costs some 18 us of NumPy calls
+# up front and little more per voter-triple; the loop costs about 0.45 us
+# per voter of each triple it decides.  Per seeded random profile (best of
+# 5, 2 cores, Python 3.11), loop against array pass:
+# - a full read, as `check` makes, breaks even at about 30 voter-triples
+#   for m >= 4 and about 100 for m = 3;
+# - an early-exit read, `condition_holds` alone, as a sweep makes, stops
+#   at the first failing triple and breaks even at about 100 voter-triples
+#   for m = 3 (one triple: nothing to skip), 1,000 for m = 4 and past
+#   2,500 for m = 5 (m = 5, n = 7: 8 against 32 us; m = 8, n = 7: 9
+#   against 87 us).
+# verify-exhaustive (3 voter-triples) and verify-random (70) take the loop,
+# check-large (36,120) the array pass.  Below 512, a `check`, which reads
+# every triple, pays for the loop: 0.2 to 0.6 ms at most (m = 4, n = 127:
+# 0.28 against 0.08 ms; m = 15, n = 1: 1.06 against 0.51 ms), next to some
+# 150 ms of process start.  So does a sweep of 100 to 511 voters at m = 3:
+# up to 60 us a profile.
+ARRAY_MIN_VOTER_TRIPLES = 512
 
 # The array pass works on blocks of triples with about this many cells in
 # its largest arrays, voters x triples shape codes and triples x 27 counts
@@ -382,11 +456,13 @@ def sen_condition(profile: Profile) -> SenVerdict:
     membership cells from :func:`_shape_table`, whose union, membership and
     qualitative readings were compared when it was built.  A profile of at
     least ``ARRAY_MIN_VOTER_TRIPLES`` voter-triples is decided a block of
-    triples at a time over its rank matrix; a smaller one, triple by
-    triple, in one pass over its voters' shape codes.  Both walk the one
-    :func:`_triple_layout` of m, built on the first profile over m
-    alternatives.  The condition holds iff every triple is value-restricted
-    and has an odd number of concerned voters.
+    triples at a time over its rank matrix, before this returns.  A smaller
+    one is decided triple by triple, each from its voters' shape codes the
+    first time its report is read, so ``condition_holds`` stops at the
+    first failing triple.  Both walk the one :func:`_triple_layout` of m,
+    built on the first profile over m alternatives.  The condition holds
+    iff every triple is value-restricted and has an odd number of
+    concerned voters.
     """
     m = profile.num_alternatives
     if m < 3:
@@ -396,6 +472,4 @@ def sen_condition(profile: Profile) -> SenVerdict:
     ranks = profile.ranks
     if len(ranks) * len(layout) >= ARRAY_MIN_VOTER_TRIPLES:
         return SenVerdict(_array_reports(profile, table))
-    return SenVerdict(
-        tuple(_triple_report(triple, _shape_codes(ranks, triple), rows) for triple in layout)
-    )
+    return SenVerdict(_TripleReports(ranks, layout, rows))

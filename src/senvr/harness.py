@@ -371,8 +371,10 @@ def run_harness(config: HarnessConfig) -> HarnessReport:
     relabeling and reversal once, on its least multiset with the voters
     in nondecreasing order index, and adds the orbit's number of ordered
     profiles to every counter; a random sweep decides and counts each
-    drawn profile once.  Each decided profile passes through the full
-    condition decision and the majority rule.
+    drawn profile once.  Each decided profile goes through
+    :func:`sen_condition` and the majority rule; only ``condition_holds``
+    is read, so the condition's triples are decided up to the first
+    failing one.
     The stream is taken in chunks of ``CHUNK_VOTERS // n`` profiles, one
     at least: majority transitivity is decided for a whole chunk at once
     from its (profiles, voters, m) rank array, then the condition is

@@ -156,7 +156,14 @@ class PreferenceMap:
     rows: tuple[frozenset[int], ...]
 
 
-@lru_cache(maxsize=8192)
+# Entries each of the per-order caches below keeps.  The shape table
+# consults 13 orders over a triple, once; other callers, such as `pm` on a
+# large file, rarely see an order twice, so a larger bound would only keep
+# every voter's results alive after the call returns.
+_ORDER_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=_ORDER_CACHE_SIZE)
 def preference_map(order: WeakOrder) -> PreferenceMap:
     """Positions spanned by each alternative's indifference class.
 
@@ -189,7 +196,7 @@ class MembershipMatrix:
         return np.array_equal(self.entries, other.entries)
 
 
-@lru_cache(maxsize=8192)
+@lru_cache(maxsize=_ORDER_CACHE_SIZE)
 def membership_map(pm: PreferenceMap) -> MembershipMatrix:
     """The 0/1 matrix equivalent of a preference map."""
     m = len(pm.rows)
@@ -226,7 +233,7 @@ def triples(m: int) -> Iterator[Triple]:
         yield Triple(combo)
 
 
-@lru_cache(maxsize=65536)
+@lru_cache(maxsize=_ORDER_CACHE_SIZE)
 def restrict(order: WeakOrder, subset: Triple) -> WeakOrder:
     """Induced weak order on a triple, re-indexed to local ids 0..2.
 

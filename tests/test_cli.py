@@ -1,13 +1,17 @@
+import contextlib
+import gc
 import json
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from senvr import HarnessReport, parse_profile
+from senvr import HarnessReport, membership_map, parse_profile, preference_map, restrict
 from senvr.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "profiles"
@@ -499,6 +503,40 @@ def test_pm_membership_cell_limit_is_inclusive(capsys, monkeypatch, triple, cell
         assert err == (
             f"error: 5*{k}^2 = {cells} membership cells exceed the limit of {limit}\n"
         )
+
+
+def _held_after_pm(tmp_path, *flags):
+    """Bytes still allocated after ``pm --json`` on 2,000 shuffled ballots
+    over 10 alternatives, all but a few of them distinct."""
+    rng = random.Random(32)
+    names = [f"a{i}" for i in range(10)]
+    lines = ["alternatives: " + " ".join(names)]
+    for _ in range(2000):
+        rng.shuffle(names)
+        lines.append("voter: " + " > ".join(names))
+    path = tmp_path / "distinct.profile"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    for cache in (restrict, preference_map, membership_map):
+        cache.cache_clear()
+    tracemalloc.start()
+    try:
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            assert main(["pm", "--json", *flags, str(path)]) == 0
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return held
+
+
+def test_pm_keeps_no_map_per_ballot_after_it_returns(tmp_path):
+    # 64 maps of each kind hold some 0.26 MB; a map of each per ballot, 7.7 MB
+    assert _held_after_pm(tmp_path) < 400_000
+
+
+def test_pm_on_a_triple_keeps_no_restriction_per_ballot_after_it_returns(tmp_path):
+    # a restriction kept per ballot holds some 0.6 MB
+    assert _held_after_pm(tmp_path, "--triple", "a0,a1,a2") < 400_000
 
 
 def test_verify_exhaustive_human(capsys):

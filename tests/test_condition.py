@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import itertools
 import math
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +12,8 @@ from hypothesis import given
 import senvr.condition
 from helpers import profiles, wo
 from senvr import (
+    HarnessConfig,
+    HarnessMode,
     InternalDisagreement,
     MembershipMatrix,
     PreferenceMap,
@@ -30,6 +34,7 @@ from senvr import (
     random_profile,
     restrict,
     row_position_unions,
+    run_harness,
     sen_condition,
     triples,
     value_set,
@@ -595,3 +600,103 @@ def test_sen_condition_takes_the_array_pass_from_the_threshold_on(monkeypatch, n
     assert taken == [path]
     assert report.concerned == tuple(range(n))
     assert report.sums == (n, 0, 0, 0, n, n, 0, n, n)
+
+
+# ---------------------------------------------------------------------------
+# below the threshold, each triple is decided when its report is read
+
+
+def spy_on_decisions(monkeypatch):
+    """The triples decided from now on, by either path, in decision order."""
+    decided = []
+    real_report, real_array = senvr.condition._triple_report, senvr.condition._array_reports
+
+    def report(triple, *rest):
+        decided.append(triple)
+        return real_report(triple, *rest)
+
+    def array(*args):
+        reports = real_array(*args)
+        decided.extend(r.triple for r in reports)
+        return reports
+
+    monkeypatch.setattr(senvr.condition, "_triple_report", report)
+    monkeypatch.setattr(senvr.condition, "_array_reports", array)
+    return decided
+
+
+def test_condition_holds_stops_at_a_failing_first_triple(monkeypatch):
+    # a Condorcet cycle on (a, b, c), every voter agreeing on d > e below
+    cycle = [wo({0}, {1}, {2}, {3}, {4}), wo({1}, {2}, {0}, {3}, {4}), wo({2}, {0}, {1}, {3}, {4})]
+    profile = Profile(default_alternative_names(5), tuple(cycle))
+    decided = spy_on_decisions(monkeypatch)
+    verdict = sen_condition(profile)
+    assert decided == []
+    assert len(verdict.per_triple) == 10
+    assert decided == []
+    assert not verdict.condition_holds
+    assert decided == [T012]
+
+
+def lazy_profiles():
+    rng = np.random.default_rng(32)
+    for m in range(3, 7):
+        for n in (1, 2, 5, 9):
+            profile = seeded_rank_profile(rng, m, n)
+            assert n * math.comb(m, 3) < senvr.condition.ARRAY_MIN_VOTER_TRIPLES
+            yield profile, senvr.condition._array_reports(profile, senvr.condition._shape_table()[1])
+
+
+def test_every_way_of_reading_gives_the_array_reports():
+    for profile, expected in lazy_profiles():
+        size = len(expected)
+        assert_same_reports([sen_condition(profile).per_triple[i] for i in range(size)], expected)
+        reads = sen_condition(profile).per_triple
+        assert_same_reports([reads[i] for i in range(-1, -size - 1, -1)], expected[::-1])
+        for cut in (slice(None), slice(1, -1), slice(None, None, 2), slice(None, None, -1)):
+            assert_same_reports(sen_condition(profile).per_triple[cut], expected[cut])
+        first, *rest = sen_condition(profile).per_triple
+        assert_same_reports([first, *rest], expected)
+        for bad in (size, -size - 1):
+            with pytest.raises(IndexError):
+                reads[bad]
+
+        # a partial read, then a full one: each slot keeps its first report
+        reads = sen_condition(profile).per_triple
+        middle = reads[size // 2]
+        listed = list(reads)
+        assert_same_reports(listed, expected)
+        assert listed[size // 2] is middle
+        assert [r is s for r, s in zip(listed, reads)] == [True] * size
+
+        # two iterators, one a step behind, see the same report at each index
+        reads = sen_condition(profile).per_triple
+        ahead, behind = iter(reads), iter(reads)
+        pairs = [(next(ahead), None)]
+        for _ in range(size - 1):
+            pairs.append((next(ahead), next(behind)))
+        pairs.append((None, next(behind)))
+        got_ahead = [a for a, _ in pairs[:-1]]
+        got_behind = [b for _, b in pairs[1:]]
+        assert_same_reports(got_ahead, expected)
+        assert all(a is b for a, b in zip(got_ahead, got_behind))
+
+
+def test_a_random_sweep_decides_fewer_triples_than_it_has(monkeypatch):
+    trials = 100
+    decided = spy_on_decisions(monkeypatch)
+    config = HarnessConfig(m=5, n=7, mode=HarnessMode.RANDOM, trials=trials, seed=1)
+    report = run_harness(config)
+    assert report.profiles_tested == trials
+    assert trials <= len(decided) < math.comb(5, 3) * trials
+
+
+def test_verdict_repr_copy_and_pickle_read_as_the_decided_reports():
+    for profile, expected in lazy_profiles():
+        verdict = sen_condition(profile)
+        verdict.condition_holds  # a partial read first
+        assert repr(verdict) == repr(SenVerdict(expected))
+        assert copy.copy(verdict).per_triple is verdict.per_triple
+        for twin in (copy.deepcopy(verdict), pickle.loads(pickle.dumps(verdict))):
+            assert_same_reports(twin.per_triple, expected)
+            assert twin.condition_holds == verdict.condition_holds

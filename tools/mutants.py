@@ -52,6 +52,7 @@ EVERY_CONSTRUCTOR = T_ORDERS + "test_every_constructor_builds_the_same_weak_orde
 STORED_FORM = T_ORDERS + "test_ranks_is_the_stored_form_compared_and_left_out_of_repr"
 PINNED_DRAWS = T_HARNESS + "test_random_profile_draws_are_pinned"
 SAMPLER_SPEC = T_HARNESS + "test_sampler_draws_and_leaves_the_generator_as_the_specification"
+EVERY_READ = T_COND + "test_every_way_of_reading_gives_the_array_reports"
 
 
 @dataclass(frozen=True)
@@ -117,6 +118,24 @@ MUTANTS = (
         ">= ARRAY_MIN_VOTER_TRIPLES:",
         "> ARRAY_MIN_VOTER_TRIPLES:",
         (T_COND + "test_sen_condition_takes_the_array_pass_from_the_threshold_on",),
+    ),
+    Mutant(
+        "lazy-fill-wrong-slot",
+        CONDITION,
+        "self._reports[index] = report",
+        "self._reports[index - 1] = report",
+        (
+            EVERY_READ,
+            T_COND + "test_verdict_repr_copy_and_pickle_read_as_the_decided_reports",
+            SEEDED_PARITY,
+        ),
+    ),
+    Mutant(
+        "lazy-len-decides-every-triple",
+        CONDITION,
+        "return len(self._reports)",
+        "return sum(1 for _ in self)",
+        (T_COND + "test_condition_holds_stops_at_a_failing_first_triple",),
     ),
     Mutant(
         "parity-even",
@@ -241,6 +260,16 @@ MUTANTS = (
         "WeakOrder._from_dense(tuple(map(placement.__getitem__, labels)), k)",
         "WeakOrder._from_dense(tuple(labels), k)",
         (PINNED_DRAWS, SAMPLER_SPEC),
+    ),
+    Mutant(
+        "order-caches-unbounded",
+        ORDERS,
+        "_ORDER_CACHE_SIZE = 64",
+        "_ORDER_CACHE_SIZE = None",
+        (
+            T_CLI + "test_pm_keeps_no_map_per_ballot_after_it_returns",
+            T_CLI + "test_pm_on_a_triple_keeps_no_restriction_per_ballot_after_it_returns",
+        ),
     ),
     # a raw row of bools builds the right classes: only the ranks' type shows it
     Mutant(
