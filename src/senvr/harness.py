@@ -147,12 +147,7 @@ def enumerate_profiles(m: int, n: int) -> Iterator[Profile]:
     """
     orders = _profile_space(m, n)
     names = default_alternative_names(m)
-
-    def stream() -> Iterator[Profile]:
-        for voters in itertools.product(orders, repeat=n):
-            yield Profile(names, voters)
-
-    return stream()
+    return (Profile(names, voters) for voters in itertools.product(orders, repeat=n))
 
 
 @cache
@@ -381,7 +376,8 @@ def run_harness(config: HarnessConfig) -> HarnessReport:
     decided and the outcomes counted profile by profile, in stream order.
     ``violations`` holds the first violating profiles in stream order;
     for an exhaustive sweep, the ordered profiles of the violating
-    orbits in the order of ``enumerate_profiles``.
+    orbits in the order of ``enumerate_profiles``, listed from the
+    orderings of each violating representative's images.
     Raises InternalDisagreement if the three readings of a ballot shape
     ever split.
     """
@@ -425,7 +421,9 @@ def run_harness(config: HarnessConfig) -> HarnessReport:
 def _orderings_of(representatives: list[Profile], m: int, n: int) -> list[Profile]:
     """Up to ``VIOLATION_CAP`` ordered profiles of the representatives' orbits.
 
-    They come in ``enumerate_profiles(m, n)`` order.
+    An orbit's ordered profiles are the orderings of its representative's
+    images under ``_symmetry_table(m)``.  The first of them in order-index
+    order, which is ``enumerate_profiles(m, n)`` order, are built as profiles.
 
     The sweep's first ``VIOLATION_CAP`` violating representatives
     suffice.  Each is itself a violating profile, and no profile
@@ -437,11 +435,8 @@ def _orderings_of(representatives: list[Profile], m: int, n: int) -> list[Profil
     index = {order: i for i, order in enumerate(orders)}
     picks = [[index[voter] for voter in profile.voters] for profile in representatives]
     images = _symmetry_table(m)[:, picks].reshape(-1, n)
-    # sorted rank rows name a multiset, whatever order its voters come in
-    wanted = {tuple(sorted(orders[i].ranks for i in image)) for image in images.tolist()}
-    matches = (
-        profile
-        for profile in enumerate_profiles(m, n)
-        if tuple(sorted(profile.ranks)) in wanted
-    )
-    return list(itertools.islice(matches, VIOLATION_CAP))
+    # a set: repeated voters, or maps with the same image, give an ordering more than once
+    members = {ordering for image in images.tolist() for ordering in itertools.permutations(image)}
+    names = default_alternative_names(m)
+    kept = sorted(members)[:VIOLATION_CAP]
+    return [Profile(names, tuple(orders[i] for i in member)) for member in kept]

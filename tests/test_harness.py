@@ -480,6 +480,40 @@ def test_violations_come_from_the_orbit_whose_least_member_comes_first(monkeypat
     assert report.condition_held_and_transitive_count == 0
 
 
+@pytest.mark.parametrize("m, picks", [(3, (7, 8, 9, 12)), (4, (51, 72))])
+def test_violations_of_a_late_orbit_are_listed_without_walking_the_profiles(
+    monkeypatch, m, picks
+):
+    # the condition stubbed to hold on the last intransitive orbit only, and
+    # enumerate_profiles refused: the violations are still the orbit's first
+    # ordered profiles in enumeration order, each listed once, though maps
+    # with the same image give some of them twice
+    orders = enumerate_weak_orders(m)
+    n = len(picks)
+    orbit = orbit_of(tuple(orders[i].ranks for i in picks))
+    monkeypatch.setattr(
+        "senvr.harness.sen_condition",
+        lambda profile: SimpleNamespace(condition_holds=tuple(sorted(profile.ranks)) in orbit),
+    )
+
+    def refused(m, n):
+        raise AssertionError("the sweep walked the ordered profiles")
+
+    monkeypatch.setattr("senvr.harness.enumerate_profiles", refused)
+    report = run_harness(HarnessConfig(m=m, n=n, mode=HarnessMode.EXHAUSTIVE))
+    members = [
+        picked
+        for picked in itertools.product(range(len(orders)), repeat=n)
+        if tuple(sorted(orders[i].ranks for i in picked)) in orbit
+    ]
+    names = default_alternative_names(m)
+    assert report.violations == tuple(
+        Profile(names, tuple(orders[i] for i in picked)) for picked in members[:VIOLATION_CAP]
+    )
+    assert report.condition_held_count == len(members)
+    assert report.condition_held_and_transitive_count == 0
+
+
 def counts(report):
     return (
         report.profiles_tested,

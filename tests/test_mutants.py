@@ -1,8 +1,9 @@
 """The mutant list in ``tools/mutants.py`` stays in step with the code.
 
-Each entry's ``old`` text must occur exactly once in its file, and each
-test it names must be a test function of the named file, so that an edit
-to the source or the tests cannot leave an entry that no longer applies.
+Each entry's ``old`` text must occur exactly once in its file, its edited
+file must still parse, and each test it names must be a test function of
+the named file, so that an edit to the source or the tests cannot leave an
+entry that no longer applies or that any test kills by a syntax error.
 """
 
 import ast
@@ -41,6 +42,13 @@ def test_mutant_names_are_distinct():
 def test_mutant_old_text_occurs_once(mutant):
     assert mutant.old != mutant.new
     assert (ROOT / mutant.path).read_text(encoding="utf-8").count(mutant.old) == 1
+
+
+@pytest.mark.parametrize("mutant", MUTANTS, ids=lambda mutant: mutant.name)
+def test_mutant_edit_still_parses(mutant):
+    # a mutant that only breaks the syntax is killed by any test at import
+    text = (ROOT / mutant.path).read_text(encoding="utf-8")
+    ast.parse(text.replace(mutant.old, mutant.new), filename=mutant.path)
 
 
 @pytest.mark.parametrize("mutant", MUTANTS, ids=lambda mutant: mutant.name)

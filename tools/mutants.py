@@ -227,6 +227,25 @@ MUTANTS = (
         (T_HARNESS + "test_violations_list_the_orderings_of_a_violating_multiset",),
     ),
     Mutant(
+        "violations-largest-first",
+        HARNESS,
+        "kept = sorted(members)[:VIOLATION_CAP]",
+        "kept = sorted(members, reverse=True)[:VIOLATION_CAP]",
+        (
+            T_HARNESS + "test_violations_list_the_orderings_of_a_violating_multiset",
+            T_HARNESS + "test_violations_of_a_late_orbit_are_listed_without_walking_the_profiles",
+        ),
+    ),
+    Mutant(
+        "orderings-not-deduplicated",
+        HARNESS,
+        "members = {ordering for image in images.tolist()"
+        " for ordering in itertools.permutations(image)}",
+        "members = [ordering for image in images.tolist()"
+        " for ordering in itertools.permutations(image)]",
+        (T_HARNESS + "test_violations_of_a_late_orbit_are_listed_without_walking_the_profiles",),
+    ),
+    Mutant(
         "chunk-bound-ignores-voters",
         HARNESS,
         "size = max(1, CHUNK_VOTERS // config.n)",
