@@ -120,7 +120,7 @@ def _profile_space(m: int, n: int) -> tuple[WeakOrder, ...]:
     The one home of the enumeration guards, checked before any profile
     is built: ValueError if n < 1; RangeError if m is outside
     ``enumerate_weak_orders``' range, then if the Wⁿ ordered profiles
-    exceed the enumeration budget.
+    exceed the enumeration budget; ValueError if m = 1.
     """
     if n < 1:
         raise ValueError("a profile needs at least one voter")
@@ -134,6 +134,8 @@ def _profile_space(m: int, n: int) -> tuple[WeakOrder, ...]:
         raise RangeError(
             f"{base}^{n} = {total} profiles exceed the budget of {ENUMERATION_BUDGET}"
         )
+    if m < 2:
+        raise ValueError("a profile needs at least two alternatives")
     return orders
 
 
@@ -141,9 +143,8 @@ def enumerate_profiles(m: int, n: int) -> Iterator[Profile]:
     """All n-voter profiles on m alternatives, lexicographic.
 
     Voters run through ``enumerate_weak_orders(m)`` like digits, the
-    last voter fastest.  Raises RangeError before yielding anything if
-    m is outside ``enumerate_weak_orders``' range or the sweep would
-    exceed the enumeration budget.
+    last voter fastest.  Raises before yielding anything, as
+    ``_profile_space`` does, if m or n is out of range.
     """
     orders = _profile_space(m, n)
     names = default_alternative_names(m)
@@ -292,7 +293,7 @@ def _sample_weak_order(m: int, rng: random.Random, cum: list[int]) -> WeakOrder:
         while j > i:
             j = getrandbits(bits)
         placement[i], placement[j] = placement[j], placement[i]
-    return WeakOrder._from_dense(tuple(map(placement.__getitem__, labels)), k)
+    return WeakOrder._from_dense(tuple(map(placement.__getitem__, labels)))
 
 
 def random_profile(m: int, n: int, seed: int, trial: int) -> Profile:
@@ -308,6 +309,8 @@ def random_profile(m: int, n: int, seed: int, trial: int) -> Profile:
     # seed * 2**64 + trial names a stream only while both fit in 64 bits
     if not (0 <= seed < 2**64 and 0 <= trial < 2**64):
         raise ValueError("seed and trial must be 64-bit unsigned integers")
+    if m < 2:
+        raise ValueError("a profile needs at least two alternatives")
     rng = random.Random(seed * 2**64 + trial)
     cum = list(itertools.accumulate(_weak_order_counts(m)))
     return Profile(

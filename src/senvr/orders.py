@@ -3,8 +3,8 @@
 A weak order (complete, reflexive, transitive) over ``m`` alternatives is
 stored as its dense rank row: the index of every alternative's
 indifference class, best class 0.  The ordered partition into classes,
-best first, is derived from the row when it is read.  Two positional
-encodings are derived from the row as well:
+best first, and the class count are derived from the row when read.
+Two positional encodings are derived from the row as well:
 
 * a preference map: for every alternative, the set of ranking positions it
   may occupy, which is the consecutive run of positions spanned by its
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import FrozenInstanceError, dataclass, field
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -38,19 +38,20 @@ class UnknownAlternative(LookupError):
     """An alternative name is not declared in the profile."""
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class WeakOrder:
     """Weak order over ``{0, ..., m-1}``, stored as its dense rank row.
 
     ``WeakOrder(classes)`` takes the ordered partition, most preferred
-    class first; ``classes`` derives it again from the row on each read.
-    Equality and hash go through ``ranks``, which fixes the partition.
-    Instances are immutable.
+    class first; ``classes`` and ``num_classes`` derive it again from the
+    row on each read.  The row is the one field, so equality and hash go
+    through it alone.  Instances are immutable.
     """
 
-    __slots__ = ("ranks", "num_classes")
+    # not slots=True: assigning a non-field name would raise TypeError, not FrozenInstanceError
+    __slots__ = ("ranks",)
     # class index of every alternative (0 = most preferred class)
     ranks: tuple[int, ...]
-    num_classes: int
 
     def __init__(self, classes: Sequence[frozenset[int]]) -> None:
         if not classes:
@@ -74,56 +75,46 @@ class WeakOrder:
             for alt in cls:
                 rank[alt] = idx
         object.__setattr__(self, "ranks", tuple(rank))
-        object.__setattr__(self, "num_classes", len(classes))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.ranks == other.ranks
-
-    def __hash__(self) -> int:
-        return hash(self.ranks)
 
     def __reduce__(self) -> tuple:
-        return self._from_dense, (self.ranks, self.num_classes)
+        # without it, unpickling would restore the slot through the frozen __setattr__
+        return self._from_dense, (self.ranks,)
 
     def __repr__(self) -> str:
         return f"WeakOrder(classes={self.classes!r})"
 
     @classmethod
-    def from_ranks(cls, ranks: Sequence[int]) -> WeakOrder:
+    def from_ranks(cls, ranks: Iterable[int]) -> WeakOrder:
         """The weak order in which alternative ``i`` sits in the class of ``ranks[i]``.
 
         Lower values are preferred and equal values tie; the values need
-        not be consecutive, only comparable.
+        not be consecutive, only comparable.  ``ranks`` is read once.
 
         Raises
         ------
         PartitionError
             If ``ranks`` is empty or holds a value unequal to itself (NaN).
         """
-        values = sorted(set(ranks))
+        row = tuple(ranks)
+        values = sorted(set(row))
         if not values:
             raise PartitionError("a weak order needs at least one class")
         if any(value != value for value in values):  # NaN: its class would be empty
             raise PartitionError("indifference classes must be nonempty")
         dense = {value: i for i, value in enumerate(values)}
-        return cls._from_dense(tuple(dense[r] for r in ranks), len(values))
+        return cls._from_dense(tuple(dense[r] for r in row))
 
     @classmethod
-    def _from_dense(cls, row: tuple[int, ...], k: int) -> WeakOrder:
+    def _from_dense(cls, row: tuple[int, ...]) -> WeakOrder:
         """The weak order in which alternative ``i`` sits in class ``row[i]``,
-        unchecked: ``row`` must be a tuple of Python ints covering 0..k-1."""
+        unchecked: ``row`` must be a tuple of Python ints covering 0..max(row)."""
         order = object.__new__(cls)
         object.__setattr__(order, "ranks", row)
-        object.__setattr__(order, "num_classes", k)
         return order
+
+    @property
+    def num_classes(self) -> int:
+        return max(self.ranks) + 1
 
     @property
     def classes(self) -> tuple[frozenset[int], ...]:

@@ -74,7 +74,7 @@ def _parse_ballot(rest: str, line: int, index: dict[str, int]) -> WeakOrder:
     if -1 in row:
         missing = [name for name, alt in index.items() if row[alt] < 0]
         raise ParseError(line, f"ballot is missing {', '.join(repr(n) for n in missing)}")
-    return WeakOrder._from_dense(tuple(row), len(groups))
+    return WeakOrder._from_dense(tuple(row))
 
 
 def decode_profile(data: bytes) -> str:

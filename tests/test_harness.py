@@ -211,6 +211,19 @@ def test_enumerate_profiles_checks_the_alternative_range_before_the_budget():
         enumerate_profiles(1200, 1)
 
 
+def test_enumerate_profiles_refuses_one_alternative_at_the_call():
+    with pytest.raises(ValueError, match=r"^a profile needs at least two alternatives$"):
+        enumerate_profiles(1, 2)
+
+
+def test_random_profile_refuses_one_alternative_before_a_draw(monkeypatch):
+    draws = []
+    monkeypatch.setattr("senvr.harness._sample_weak_order", lambda *args: draws.append(args))
+    with pytest.raises(ValueError, match=r"^a profile needs at least two alternatives$"):
+        random_profile(1, 5, 0, 0)
+    assert draws == []
+
+
 def test_random_profile_is_deterministic():
     a = random_profile(4, 3, seed=11, trial=5)
     b = random_profile(4, 3, seed=11, trial=5)

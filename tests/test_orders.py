@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import itertools
 import pickle
 
@@ -44,6 +45,12 @@ def test_ranks_is_the_stored_form_compared_and_left_out_of_repr():
     assert repr(order) == "WeakOrder(classes=(frozenset({1}), frozenset({0, 2})))"
     with pytest.raises(TypeError):
         WeakOrder(order.classes, ranks=order.ranks)
+
+
+def test_weak_order_is_a_dataclass_over_its_rank_row_alone():
+    assert [f.name for f in dataclasses.fields(WeakOrder)] == ["ranks"]
+    assert WeakOrder.__slots__ == ("ranks",)
+    assert not hasattr(wo({1}, {0, 2}), "__dict__")
 
 
 def test_weak_order_is_immutable():
@@ -150,6 +157,14 @@ def test_from_ranks_reranks_densely(m):
 def test_from_ranks_round_trips_every_weak_order(m):
     for order in enumerate_weak_orders(m):
         assert WeakOrder.from_ranks(order.ranks) == order
+
+
+def test_from_ranks_reads_a_one_shot_iterable_once():
+    expected = WeakOrder.from_ranks([1, 0, 1])
+    for ranks in ((r for r in [1, 0, 1]), map(int, "101")):
+        order = WeakOrder.from_ranks(ranks)
+        assert order == expected
+        assert order.classes == expected.classes
 
 
 def test_from_ranks_rejects_no_alternatives():

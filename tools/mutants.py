@@ -49,7 +49,6 @@ T_ORDERS = "tests/test_orders.py::"
 T_IO = "tests/test_profile_io.py::"
 BUILDS_AS_CHECKED = T_ORDERS + "test_from_ranks_builds_what_the_validated_class_form_builds"
 EVERY_CONSTRUCTOR = T_ORDERS + "test_every_constructor_builds_the_same_weak_order"
-STORED_FORM = T_ORDERS + "test_ranks_is_the_stored_form_compared_and_left_out_of_repr"
 PINNED_DRAWS = T_HARNESS + "test_random_profile_draws_are_pinned"
 SAMPLER_SPEC = T_HARNESS + "test_sampler_draws_and_leaves_the_generator_as_the_specification"
 EVERY_READ = T_COND + "test_every_way_of_reading_gives_the_array_reports"
@@ -276,8 +275,8 @@ MUTANTS = (
     Mutant(
         "memo-key-drops-placement",
         HARNESS,
-        "WeakOrder._from_dense(tuple(map(placement.__getitem__, labels)), k)",
-        "WeakOrder._from_dense(tuple(labels), k)",
+        "WeakOrder._from_dense(tuple(map(placement.__getitem__, labels)))",
+        "WeakOrder._from_dense(tuple(labels))",
         (PINNED_DRAWS, SAMPLER_SPEC),
     ),
     Mutant(
@@ -294,8 +293,8 @@ MUTANTS = (
     Mutant(
         "dense-map-skipped",
         ORDERS,
-        "cls._from_dense(tuple(dense[r] for r in ranks), len(values))",
-        "cls._from_dense(tuple(ranks), len(values))",
+        "cls._from_dense(tuple(dense[r] for r in row))",
+        "cls._from_dense(row)",
         (BUILDS_AS_CHECKED, T_ORDERS + "test_from_ranks_holds_python_ints"),
     ),
     Mutant(
@@ -314,18 +313,15 @@ MUTANTS = (
         (BUILDS_AS_CHECKED, EVERY_CONSTRUCTOR, T_ORDERS + "test_from_classes_strict_chain"),
     ),
     Mutant(
-        "equality-by-class-count",
+        "class-count-off-by-one",
         ORDERS,
-        "return self.ranks == other.ranks",
-        "return self.num_classes == other.num_classes",
-        (EVERY_CONSTRUCTOR, STORED_FORM),
-    ),
-    Mutant(
-        "hash-by-identity",
-        ORDERS,
-        "return hash(self.ranks)",
-        "return id(self)",
-        (BUILDS_AS_CHECKED, EVERY_CONSTRUCTOR, STORED_FORM),
+        "return max(self.ranks) + 1",
+        "return max(self.ranks)",
+        (
+            EVERY_CONSTRUCTOR,
+            T_ORDERS + "test_from_classes_total_indifference",
+            T_ORDERS + "test_preference_map_three_voter_goldens",
+        ),
     ),
     Mutant(
         "span-offset-dropped",
