@@ -359,13 +359,7 @@ def cmd_pm(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     mode = HarnessMode.EXHAUSTIVE if args.exhaustive else HarnessMode.RANDOM
-    config = HarnessConfig(
-        m=args.m,
-        n=args.n,
-        mode=mode,
-        trials=args.trials if mode is HarnessMode.RANDOM else 1,
-        seed=args.seed if mode is HarnessMode.RANDOM else 0,
-    )
+    config = HarnessConfig(m=args.m, n=args.n, mode=mode, trials=args.trials, seed=args.seed)
     if mode is HarnessMode.RANDOM:
         # an exhaustive sweep is bounded by its enumeration budget instead
         _check_voter_triples(config.m, config.n)

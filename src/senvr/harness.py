@@ -48,7 +48,8 @@ __all__ = [
     "run_harness",
 ]
 
-# desk-scale guards: sweeps stay comfortably under a minute
+# desk-scale guards on the exhaustive space and on the work per profile; a
+# random sweep's length grows with its trials, which are not bounded
 ENUMERATION_BUDGET = 10**7
 MAX_ENUMERATED_ALTERNATIVES = 5
 MAX_SAMPLED_ALTERNATIVES = 8
@@ -323,8 +324,8 @@ def random_profile(m: int, n: int, seed: int, trial: int) -> Profile:
 class HarnessConfig:
     """One sweep request.
 
-    ``trials`` and ``seed`` matter only in random mode; the seed must
-    fit in 64 unsigned bits.
+    ``mode`` is a ``HarnessMode`` or its value.  ``trials`` and ``seed``
+    matter only in random mode; the seed must fit in 64 unsigned bits.
     """
 
     m: int
@@ -334,6 +335,7 @@ class HarnessConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "mode", HarnessMode(self.mode))
         if self.m < 3:
             raise ValueError("the condition is about triples: need m >= 3")
         if self.n < 1:
@@ -367,8 +369,8 @@ def run_harness(config: HarnessConfig) -> HarnessReport:
 
     An exhaustive sweep decides each orbit of voter multisets under
     relabeling and reversal once, on its least multiset with the voters
-    in nondecreasing order index, and adds the orbit's number of ordered
-    profiles to every counter; a random sweep decides and counts each
+    in nondecreasing order index, and weights it by the orbit's number of
+    ordered profiles; a random sweep decides and counts each
     drawn profile once.  Each decided profile goes through
     :func:`sen_condition` and the majority rule; only ``condition_holds``
     is read, so the condition's triples are decided up to the first
@@ -376,7 +378,9 @@ def run_harness(config: HarnessConfig) -> HarnessReport:
     The stream is taken in chunks of ``CHUNK_VOTERS // n`` profiles, one
     at least: majority transitivity is decided for a whole chunk at once
     from its (profiles, voters, m) rank array, then the condition is
-    decided and the outcomes counted profile by profile, in stream order.
+    decided and each profile's weight added, in stream order, to one cell
+    of a table keyed by (condition holds, majority transitive).  The
+    report gives the table's cells and margins.
     ``violations`` holds the first violating profiles in stream order;
     for an exhaustive sweep, the ordered profiles of the violating
     orbits in the order of ``enumerate_profiles``, listed from the
@@ -391,32 +395,26 @@ def run_harness(config: HarnessConfig) -> HarnessReport:
             (random_profile(config.m, config.n, config.seed, trial), 1)
             for trial in range(config.trials)
         )
-    tested = held = held_transitive = failed = failed_transitive = 0
+    outcomes = {(True, True): 0, (True, False): 0, (False, True): 0, (False, False): 0}
     violations: list[Profile] = []
     size = max(1, CHUNK_VOTERS // config.n)
     while chunk := list(itertools.islice(stream, size)):
         transitive = transitive_mask(np.array([profile.ranks for profile, _ in chunk]))
         for (profile, weight), profile_transitive in zip(chunk, transitive.tolist()):
-            verdict = sen_condition(profile)
-            tested += weight
-            if verdict.condition_holds:
-                held += weight
-                if profile_transitive:
-                    held_transitive += weight
-                elif len(violations) < VIOLATION_CAP:
-                    violations.append(profile)
-            else:
-                failed += weight
-                if profile_transitive:
-                    failed_transitive += weight
+            holds = sen_condition(profile).condition_holds
+            outcomes[holds, profile_transitive] += weight
+            if holds and not profile_transitive and len(violations) < VIOLATION_CAP:
+                violations.append(profile)
     if config.mode is HarnessMode.EXHAUSTIVE and violations:
         violations = _orderings_of(violations, config.m, config.n)
+    held = outcomes[True, True] + outcomes[True, False]
+    failed = outcomes[False, True] + outcomes[False, False]
     return HarnessReport(
-        profiles_tested=tested,
+        profiles_tested=held + failed,
         condition_held_count=held,
-        condition_held_and_transitive_count=held_transitive,
+        condition_held_and_transitive_count=outcomes[True, True],
         condition_failed_count=failed,
-        condition_failed_but_transitive_count=failed_transitive,
+        condition_failed_but_transitive_count=outcomes[False, True],
         violations=tuple(violations),
     )
 

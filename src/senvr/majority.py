@@ -65,10 +65,11 @@ class SocialRelation:
         weak = np.asarray(self.weak, dtype=bool)
         if weak.ndim != 2 or weak.shape[0] != weak.shape[1]:
             raise ValueError(f"relation matrix must be square, got shape {weak.shape}")
-        if not (weak | weak.T).all():
-            raise ValueError("majority relation must be complete")
+        # reflexivity first: the completeness test covers the diagonal too
         if not np.diagonal(weak).all():
             raise ValueError("majority relation must be reflexive")
+        if not (weak | weak.T).all():
+            raise ValueError("majority relation must be complete")
         weak.setflags(write=False)
         object.__setattr__(self, "weak", weak)
 

@@ -39,6 +39,7 @@ from senvr import (
     triples,
     value_set,
 )
+from senvr.cli import main
 
 
 def all_weak_orders_3():
@@ -505,6 +506,28 @@ def test_corrupt_shape_row_raises_disagreement(monkeypatch, source):
             sen_condition(profile)
     finally:
         senvr.condition._shape_table.cache_clear()
+
+
+def test_cli_exits_4_and_names_a_disagreement(monkeypatch, capsys):
+    # the shape table reads the strict order x > y > z as able to take
+    # "worst" at x; the first verify sweep to build the table meets it
+    strict = wo({0}, {1}, {2})
+    real = senvr.condition.value_set
+
+    def corrupt(order, *rest):
+        result = real(order, *rest)
+        return result | {ValueLabel.WORST} if (order, *rest) == (strict, 0) else result
+
+    monkeypatch.setattr(senvr.condition, "value_set", corrupt)
+    senvr.condition._shape_table.cache_clear()
+    try:
+        status = main(["verify", "--exhaustive", "--m", "3", "--n", "1"])
+    finally:
+        senvr.condition._shape_table.cache_clear()
+    out, err = capsys.readouterr()
+    assert status == 4
+    assert out == ""
+    assert err.startswith("internal checker disagreement: checkers disagree on triple (0, 1, 2)")
 
 
 def test_reports_store_only_the_triple_the_concerned_voters_and_the_sums():

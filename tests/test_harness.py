@@ -132,6 +132,11 @@ def test_count_weak_orders(m, expected):
     assert count_weak_orders(m) == expected
 
 
+def test_count_weak_orders_rejects_a_negative_count():
+    with pytest.raises(ValueError, match=r"^alternative count cannot be negative$"):
+        count_weak_orders(-1)
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_count_table_row_matches_enumerated_class_counts(m):
     by_classes = Counter(o.num_classes for o in enumerate_weak_orders(m))
@@ -358,11 +363,26 @@ def test_sweep_memos_are_bounded_senvr_caches(memo):
         dict(m=3, n=1, mode=HarnessMode.RANDOM, trials=0),
         dict(m=3, n=1, mode=HarnessMode.RANDOM, trials=1, seed=-1),
         dict(m=3, n=1, mode=HarnessMode.RANDOM, trials=1, seed=2**64),
+        dict(m=3, n=1, mode="random", trials=0),
+        dict(m=3, n=1, mode="bogus"),
     ],
 )
 def test_config_validation(kwargs):
     with pytest.raises(ValueError):
         HarnessConfig(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(m=3, n=2, mode=HarnessMode.EXHAUSTIVE),
+        dict(m=4, n=3, mode=HarnessMode.RANDOM, trials=50, seed=5),
+    ],
+)
+def test_a_mode_given_as_its_value_sweeps_as_the_member(kwargs):
+    by_value = HarnessConfig(**{**kwargs, "mode": kwargs["mode"].value})
+    assert by_value.mode is kwargs["mode"]
+    assert run_harness(by_value) == run_harness(HarnessConfig(**kwargs))
 
 
 def test_harness_exhaustive_single_voter():

@@ -48,6 +48,50 @@ def test_tallies_all_indifferent(all_indifferent):
     assert not pairwise_tallies(all_indifferent).prefer.any()
 
 
+@pytest.mark.parametrize(
+    "prefer, message",
+    [
+        ([[0, 1, 2]], r"^tally matrix must be square, got shape \(1, 3\)$"),
+        ([0, 1], r"^tally matrix must be square, got shape \(2,\)$"),
+        ([[0, -1], [2, 0]], r"^tally counts cannot be negative$"),
+        ([[0, 1], [2, 1]], r"^no voter strictly prefers an alternative to itself$"),
+    ],
+    ids=["not-square", "not-a-matrix", "negative", "nonzero-diagonal"],
+)
+def test_tally_rejects_matrices_no_profile_gives(prefer, message):
+    with pytest.raises(ValueError, match=message):
+        PairwiseTally(np.array(prefer))
+
+
+@pytest.mark.parametrize(
+    "weak, message",
+    [
+        ([[True, True, True]], r"^relation matrix must be square, got shape \(1, 3\)$"),
+        ([[True, False], [False, True]], r"^majority relation must be complete$"),
+        ([[False, True], [True, True]], r"^majority relation must be reflexive$"),
+    ],
+    ids=["not-square", "incomplete", "irreflexive"],
+)
+def test_relation_rejects_matrices_no_majority_gives(weak, message):
+    with pytest.raises(ValueError, match=message):
+        SocialRelation(np.array(weak))
+
+
+@pytest.mark.parametrize(
+    "kind, same, other",
+    [
+        (PairwiseTally, [[0, 2], [1, 0]], [[0, 1], [2, 0]]),
+        (SocialRelation, [[True, True], [False, True]], [[True, False], [True, True]]),
+    ],
+    ids=["tally", "relation"],
+)
+def test_tallies_and_relations_compare_by_their_matrices(kind, same, other):
+    a = kind(np.array(same))
+    assert a == kind(np.array(same))
+    assert a != kind(np.array(other))
+    assert a != object()
+
+
 def test_relation_example2(example2):
     rel = majority_relation(pairwise_tallies(example2))
     expected = np.array(

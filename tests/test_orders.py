@@ -290,6 +290,7 @@ def test_membership_matrix_equality_and_readonly():
     c = membership_map(preference_map(wo({0}, {1}, {2})))
     assert a == b
     assert a != c
+    assert a != object()
     with pytest.raises(ValueError):
         a.entries[0, 0] = 7
 
@@ -380,6 +381,11 @@ def test_profile_ranks_is_the_rank_matrix_in_voter_order():
 def test_profile_rejects_empty_voter_list():
     with pytest.raises(ValueError):
         Profile(("x", "y"), ())
+
+
+def test_profile_rejects_a_single_alternative():
+    with pytest.raises(ValueError, match=r"^a profile needs at least two alternatives$"):
+        Profile(("x",), (wo({0}),))
 
 
 def test_profile_accepts_two_alternatives():

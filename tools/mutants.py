@@ -14,7 +14,7 @@ itself is never edited.
     python3 tools/mutants.py --list     # names only
     python3 tools/mutants.py sign-flip threshold-strict
 
-It is not part of tier-1: the whole list takes about two minutes on 2 cores.
+It is not part of tier-1: the whole list takes under three minutes on 2 cores.
 """
 
 from __future__ import annotations
@@ -396,6 +396,40 @@ MUTANTS = (
             T_CLI + "test_check_voter_triple_limit_is_inclusive",
             T_CLI + "test_verify_voter_triple_limit_is_inclusive",
         ),
+    ),
+    Mutant(
+        "outcome-key-swapped",
+        HARNESS,
+        "outcomes[holds, profile_transitive] += weight",
+        "outcomes[profile_transitive, holds] += weight",
+        (
+            T_HARNESS + "test_exhaustive_sweep_counts_are_pinned",
+            T_HARNESS + "test_harness_exhaustive_single_voter",
+        ),
+    ),
+    Mutant(
+        "mode-not-normalised",
+        HARNESS,
+        'object.__setattr__(self, "mode", HarnessMode(self.mode))',
+        "pass",
+        (
+            T_HARNESS + "test_config_validation",
+            T_HARNESS + "test_a_mode_given_as_its_value_sweeps_as_the_member",
+        ),
+    ),
+    Mutant(
+        "disagreement-exit-2",
+        CLI,
+        'print(f"internal checker disagreement: {exc}", file=sys.stderr)\n        return 4',
+        'print(f"internal checker disagreement: {exc}", file=sys.stderr)\n        return 2',
+        (T_COND + "test_cli_exits_4_and_names_a_disagreement",),
+    ),
+    Mutant(
+        "relation-reflexivity-unchecked",
+        MAJORITY,
+        "if not np.diagonal(weak).all():",
+        "if not np.diagonal(weak).any():",
+        ("tests/test_majority.py::test_relation_rejects_matrices_no_majority_gives",),
     ),
     Mutant(
         "decode-line-0-based",
